@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     const core::Experiment& e = *experiments[ei];
     const auto& a = e.model().a();
     const linalg::Matrix gram = linalg::gram(a);
-    const core::SubsetSelector selector = core::make_subset_selector(a, gram);
+    const core::SubsetSelector selector(a, gram);
     core::PathSelectionOptions opt;
     opt.epsilon = 0.05;
     const core::PathSelectionResult sel =

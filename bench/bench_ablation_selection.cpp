@@ -36,13 +36,13 @@ int main(int argc, char** argv) {
     const core::Experiment e(core::default_experiment_config(name));
     const auto& a = e.model().a();
     const linalg::Matrix gram = linalg::gram(a);
-    const core::SubsetSelector selector(a, gram);  // Gram route: both methods
+    const core::SubsetSelector selector(a, gram);  // serves both methods
     const std::size_t rank = selector.rank();
     for (double frac : {0.02, 0.05, 0.1, 0.2, 0.4}) {
       const std::size_t r = std::max<std::size_t>(
           1, static_cast<std::size_t>(frac * static_cast<double>(rank)));
       const auto alg2 = selector.select(r);
-      const auto greedy = selector.select_greedy(r);
+      const auto greedy = selector.select_greedy(r, gram);
       const core::SelectionErrors e2 = core::selection_errors_from_gram(
           gram, alg2, e.t_cons_ps(), 3.0);
       const core::SelectionErrors eg = core::selection_errors_from_gram(

@@ -167,7 +167,7 @@ BENCHMARK(BM_SelectionErrorEvaluation)->Arg(128)->Arg(512);
 void BM_SubsetSelect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const linalg::Matrix a = random_matrix(n, n / 2, 9);
-  const core::SubsetSelector selector(a);
+  const core::SubsetSelector selector(a, linalg::gram(a));
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector.select(n / 8));
   }
@@ -227,7 +227,7 @@ struct McFixture {
     const variation::SpatialModel spatial(3);
     model = std::make_unique<variation::VariationModel>(
         tg, spatial, paths, dec, variation::VariationOptions{});
-    const core::SubsetSelector sel(model->a());
+    const core::SubsetSelector sel(model->a(), linalg::gram(model->a()));
     predictor = core::make_path_predictor(
         model->a(), model->mu_paths(),
         sel.select(std::max<std::size_t>(1, sel.rank() / 4)));

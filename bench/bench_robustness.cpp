@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   const core::Experiment e(core::default_experiment_config("s1423"));
   const auto& a = e.model().a();
   const linalg::Matrix gram = linalg::gram(a);
-  const core::SubsetSelector selector = core::make_subset_selector(a, gram);
+  const core::SubsetSelector selector(a, gram);
   core::PathSelectionOptions popt;
   popt.epsilon = 0.05;
   const core::PathSelectionResult sel =

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
       gram_seconds > 0.0 ? gram_flops / gram_seconds * 1e-9 : 0.0;
   const double gram_peak = linalg::simd::theoretical_peak_gflops(
       linalg::simd::active_tier(), util::thread_count());
-  const core::SubsetSelector selector = core::make_subset_selector(a, gram);
+  const core::SubsetSelector selector(a, gram);
   const std::size_t rank = selector.rank();
   // Cache the pivot order up front so neither phase is charged for it.
   const std::vector<int>& order = selector.greedy_order(gram);

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
 
     // Approximate path selection at eps = 8%.
     const linalg::Matrix gram = linalg::gram(m.a());
-    const core::SubsetSelector selector = core::make_subset_selector(m.a(), gram);
+    const core::SubsetSelector selector(m.a(), gram);
     core::PathSelectionOptions popt;
     popt.epsilon = kEps;
     const core::PathSelectionResult psel =

@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
 
   // Selection.
   const linalg::Matrix gram = linalg::gram(e.model().a());
-  const core::SubsetSelector selector =
-      core::make_subset_selector(e.model().a(), gram);
+  const core::SubsetSelector selector(e.model().a(), gram);
   std::printf("rank(A) = %zu (exact selection size, Theorem 1)\n",
               selector.rank());
   std::printf("effective rank at 5%% energy: %zu\n",

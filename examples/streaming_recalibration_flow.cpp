@@ -40,8 +40,7 @@ int main() {
   const core::Experiment e(core::default_experiment_config("s1196"));
   const auto& model = e.model();
   const linalg::Matrix gram = linalg::gram(model.a());
-  const core::SubsetSelector selector =
-      core::make_subset_selector(model.a(), gram);
+  const core::SubsetSelector selector(model.a(), gram);
   core::PathSelectionOptions popt;
   popt.epsilon = 0.05;
   const core::PathSelectionResult sel =

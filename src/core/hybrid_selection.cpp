@@ -20,16 +20,11 @@ struct HybridContext {
   PathSelectionResult path_only;  // Algorithm-1 fallback at eps
   SegmentQuadratic quad;          // Eqn-10 worst-case form, eps'-independent
 
-  static SubsetSelector make_selector(const linalg::Matrix& a,
-                                      const linalg::Matrix& w) {
-    return (a.cols() >= a.rows()) ? SubsetSelector(a, w) : SubsetSelector(a);
-  }
-
   HybridContext(const linalg::Matrix& a, const linalg::Matrix& sigma,
                 const linalg::Vector& mu_segments, double t_cons,
                 const HybridOptions& options)
       : gram(linalg::gram(a)),
-        selector(make_selector(a, gram)),
+        selector(a, gram),
         quad(build_segment_quadratic(sigma, mu_segments, options.kappa)) {
     PathSelectionOptions popt;
     popt.epsilon = options.epsilon;

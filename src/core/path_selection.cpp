@@ -129,11 +129,7 @@ PathSelectionResult select_representative_paths(
     w_local = linalg::gram(a);
     gram = &w_local;
   }
-  // Wide matrices (many process parameters): derive U and the singular
-  // values from the Gram matrix we need anyway — O(n^3) instead of the
-  // O(m n^2) bidiagonalization.
-  const SubsetSelector selector =
-      (a.cols() >= a.rows()) ? SubsetSelector(a, *gram) : SubsetSelector(a);
+  const SubsetSelector selector(a, *gram);
   return select_representative_paths(selector, *gram, t_cons, options);
 }
 

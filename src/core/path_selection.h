@@ -10,8 +10,9 @@
 // instances), and a greedy prefix sweep that swaps Algorithm 2's QRCP
 // selection for the nested pivoted-Cholesky order, which makes every
 // candidate r a prefix of one fixed order and prices ALL of them in a
-// single O(n^2 rank) pass (see selection_error_sweep).  All share one SVD
-// and one Gram matrix.
+// single O(n^2 rank) pass (see selection_error_sweep).  All share one
+// SubsetSelector (a factorization of the smaller Gram side of A, never a
+// dense SVD) and one Gram matrix W = A A^T.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +53,7 @@ PathSelectionResult select_representative_paths(
     const linalg::Matrix& a, double t_cons, const PathSelectionOptions& options,
     const linalg::Matrix* gram = nullptr);
 
-// Same, reusing an existing SubsetSelector (shared SVD).
+// Same, reusing an existing SubsetSelector (shared factorization).
 PathSelectionResult select_representative_paths(
     const SubsetSelector& selector, const linalg::Matrix& gram, double t_cons,
     const PathSelectionOptions& options);

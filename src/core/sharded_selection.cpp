@@ -69,9 +69,8 @@ ShardSelection select_one_shard(const PathPanelSource& source,
   const linalg::Matrix a_s = leased_panel(source, members, budget, panel_lease);
   PanelLease gram_lease(budget, panel_bytes(a_s.rows(), a_s.rows()));
   const linalg::Matrix w = linalg::gram(a_s);
-  // Direct Gram-route construction: shard panels are tall (paths >> params),
-  // so make_subset_selector would pick the SVD route; the greedy-sweep
-  // driver only needs the pivoted-Cholesky machinery the Gram route carries.
+  // Shard panels are tall (paths >> params): the selector factors the small
+  // A^T A side for the rank, and the greedy-sweep driver pivots on W.
   const SubsetSelector selector(a_s, w);
   const PathSelectionResult sel =
       select_representative_paths(selector, w, t_cons, shard_opts);

@@ -7,6 +7,7 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
+#include "linalg/gemm.h"
 #include "linalg/qr_colpivot.h"
 #include "linalg/randomized_eig.h"
 #include "util/contracts.h"
@@ -23,16 +24,32 @@ double gram_rank_rel_tol(std::size_t rows, std::size_t cols) {
   return std::sqrt(dim * std::numeric_limits<double>::epsilon()) * 4.0;
 }
 
-}  // namespace
-
-SubsetSelector::SubsetSelector(const linalg::Matrix& a)
-    : svd_(linalg::svd(a)), rows_(a.rows()), cols_(a.cols()) {
-  util::telemetry::count("core.select.svd_route");
-  if (!svd_.converged) {
-    throw std::runtime_error("SubsetSelector: SVD did not converge");
+// The k leading eigenvectors of an eigen_sym result (ascending), as columns
+// in descending eigenvalue order.
+linalg::Matrix leading_vectors(const linalg::Matrix& vectors, std::size_t k) {
+  const std::size_t n = vectors.rows();
+  linalg::Matrix out(n, k);
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t i = 0; i < n; ++i) out(i, c) = vectors(i, n - 1 - c);
   }
-  rank_ = linalg::svd_rank(svd_, a.rows(), a.cols());
+  return out;
 }
+
+// Left singular vectors from right ones, u_j = A v_j / s_j, for the columns
+// of `v`.  Callers lift only columns within the rank; a zero s_j can still
+// reach here on the lazy route (pivoted-Cholesky rank vs captured spectrum)
+// and yields a zero column instead of a division by zero.
+linalg::Matrix lift_left(const linalg::Matrix& a, const linalg::Matrix& v,
+                         const linalg::Vector& s) {
+  linalg::Matrix u = linalg::multiply(a, v);
+  for (std::size_t j = 0; j < u.cols(); ++j) {
+    const double inv = s[j] > 0.0 ? 1.0 / s[j] : 0.0;
+    for (std::size_t i = 0; i < u.rows(); ++i) u(i, j) *= inv;
+  }
+  return u;
+}
+
+}  // namespace
 
 SubsetSelector::SubsetSelector(linalg::SvdResult svd, std::size_t rows,
                                std::size_t cols)
@@ -51,51 +68,59 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a,
   }
   const util::telemetry::Span span("core.select.factorize");
   util::telemetry::count("core.select.gram_route");
-  const std::size_t n = a.rows();
   svd_.converged = true;
-  gram_ = gram;
-  have_gram_ = true;
-  if (n > 512) {
-    // Lazy route: rank from pivoted Cholesky (O(n rank^2)); eigenpairs are
-    // captured on demand by ensure_captured().
-    const double tol = gram_rank_rel_tol(rows_, cols_);
+  const bool tall = rows_ > cols_;
+  linalg::Matrix side = tall ? linalg::gram_t(a) : gram;
+  const std::size_t order = side.rows();
+  const double tol = gram_rank_rel_tol(rows_, cols_);
+  if (order > 512) {
+    // Lazy route: rank from pivoted Cholesky (O(order rank^2)); eigenpairs
+    // are captured on demand by ensure_captured().  On W the pivot order is
+    // also the greedy order.
     const linalg::PivotedChol pc =
-        linalg::pivoted_cholesky(gram_, tol * tol);  // eigenvalue-scale tol
+        linalg::pivoted_cholesky(side, tol * tol);  // eigenvalue-scale tol
     rank_ = pc.rank;
-    greedy_order_ = pc.perm;
+    if (tall) {
+      a_ = a;
+    } else {
+      greedy_order_ = pc.perm;
+    }
+    side_ = std::move(side);
     lazy_ = true;
     return;
   }
-  const linalg::EigenSymResult eig = linalg::eigen_sym(gram);
+  const linalg::EigenSymResult eig = linalg::eigen_sym(std::move(side));
   if (!eig.converged) {
     throw std::runtime_error("SubsetSelector: eigendecomposition failed");
   }
-  svd_.s.resize(n);
-  svd_.u = linalg::Matrix(n, n);
   // Eigenvalues come ascending; singular values must be non-increasing.
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t src = n - 1 - k;
-    svd_.s[k] = std::sqrt(std::max(eig.values[src], 0.0));
-    for (std::size_t i = 0; i < n; ++i) {
-      svd_.u(i, k) = eig.vectors(i, src);
-    }
+  svd_.s.resize(order);
+  for (std::size_t k = 0; k < order; ++k) {
+    svd_.s[k] = std::sqrt(std::max(eig.values[order - 1 - k], 0.0));
   }
-  rank_ = linalg::svd_rank(svd_, a.rows(), a.cols(),
-                           gram_rank_rel_tol(rows_, cols_));
+  rank_ = linalg::svd_rank(svd_, rows_, cols_, tol);
+  linalg::Matrix lead = leading_vectors(eig.vectors, rank_);
+  svd_.u = tall ? lift_left(a, lead, svd_.s) : std::move(lead);
 }
 
 void SubsetSelector::ensure_captured(std::size_t k) const {
   if (!lazy_ || svd_.s.size() >= k) return;
   const util::telemetry::Span span("core.select.eig_capture");
+  const std::size_t order = side_.rows();
   linalg::RandomizedEigOptions opt;
-  opt.initial_rank = std::min(rows_, std::max(k, 2 * svd_.s.size()));
+  opt.initial_rank = std::min(order, std::max(k, 2 * svd_.s.size()));
   opt.adaptive = false;  // capture exactly what was asked (plus oversample)
-  linalg::RandomizedEigResult eig = linalg::randomized_eig_psd(gram_, opt);
+  linalg::RandomizedEigResult eig = linalg::randomized_eig_psd(side_, opt);
   svd_.s.resize(eig.values.size());
   for (std::size_t i = 0; i < eig.values.size(); ++i) {
     svd_.s[i] = std::sqrt(eig.values[i]);
   }
-  svd_.u = std::move(eig.vectors);
+  if (a_.empty()) {
+    svd_.u = std::move(eig.vectors);
+  } else {
+    const std::size_t lift = std::min(eig.vectors.cols(), rank_);
+    svd_.u = lift_left(a_, eig.vectors.left_cols(lift), svd_.s);
+  }
 }
 
 const linalg::Vector& SubsetSelector::singular_values() const {
@@ -103,15 +128,6 @@ const linalg::Vector& SubsetSelector::singular_values() const {
   // values yields the complete energy profile.
   ensure_captured(rank_);
   return svd_.s;
-}
-
-SubsetSelector make_subset_selector(const linalg::Matrix& a,
-                                    const linalg::Matrix& gram) {
-  REPRO_CHECK_DIM(gram.rows(), a.rows(),
-                  "make_subset_selector: Gram order vs path count");
-  REPRO_CHECK_DIM(gram.rows(), gram.cols(),
-                  "make_subset_selector: Gram matrix must be square");
-  return (a.cols() >= a.rows()) ? SubsetSelector(a, gram) : SubsetSelector(a);
 }
 
 std::vector<int> SubsetSelector::select(std::size_t r) const {
@@ -135,15 +151,14 @@ std::vector<int> SubsetSelector::select(std::size_t r) const {
   return select_memo_.emplace(r, std::move(rows)).first->second;
 }
 
-std::vector<int> SubsetSelector::select_greedy(std::size_t r) const {
-  if (!have_gram_) {
-    throw std::logic_error(
-        "SubsetSelector::select_greedy needs the Gram-route constructor");
-  }
+std::vector<int> SubsetSelector::select_greedy(
+    std::size_t r, const linalg::Matrix& gram) const {
+  REPRO_CHECK_DIM(gram.rows(), gram.cols(),
+                  "SubsetSelector::select_greedy: square Gram");
   if (r == 0 || r > rank_ || r > rows_) {
     throw std::invalid_argument("SubsetSelector::select_greedy: bad r");
   }
-  const std::vector<int>& order = greedy_order(gram_);
+  const std::vector<int>& order = greedy_order(gram);
   return {order.begin(), order.begin() + static_cast<std::ptrdiff_t>(r)};
 }
 
@@ -152,15 +167,12 @@ const std::vector<int>& SubsetSelector::greedy_order(
   REPRO_CHECK_DIM(gram.rows(), gram.cols(),
                   "SubsetSelector::greedy_order: square Gram");
   if (greedy_order_.empty()) {
-    // The Gram-route constructor retains its own copy; SVD-route selectors
-    // factor the caller-supplied Gram (same W = A A^T, supplied externally).
-    const linalg::Matrix& w = have_gram_ ? gram_ : gram;
-    if (w.rows() != rows_ || w.cols() != rows_) {
+    if (gram.rows() != rows_ || gram.cols() != rows_) {
       throw std::invalid_argument(
           "SubsetSelector::greedy_order: Gram order vs path count");
     }
     const double tol = gram_rank_rel_tol(rows_, cols_);
-    greedy_order_ = linalg::pivoted_cholesky(w, tol * tol).perm;
+    greedy_order_ = linalg::pivoted_cholesky(gram, tol * tol).perm;
   }
   return greedy_order_;
 }

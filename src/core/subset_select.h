@@ -7,11 +7,30 @@
 //   3. The first r pivots are the representative rows.
 //
 // The factorization is computed once and shared across all r (Algorithm 1
-// calls this for many candidate r values).  For large instances the Gram
-// route is used: rank(A) comes from a pivoted Cholesky of W = A A^T in
-// O(n rank^2), and the leading eigenpairs of W (= left singular vectors)
+// calls this for many candidate r values).  Only rank(A), the singular
+// values and span(U_r) are needed, and QRCP pivots depend only on that span,
+// so no dense SVD is run: the selector eigendecomposes whichever Gram side
+// of A is smaller.
+//
+//   * Wide A (cols >= rows): W = A A^T (n x n); U = eigenvectors of W.
+//   * Tall A (rows > cols):  C = A^T A (m x m); V = eigenvectors of C and
+//     U_r = A V_r diag(s_r)^-1.
+//
+// Either way s_i = sqrt(lambda_i) and rank(A) counts the s_i above
+// tau = 4 sqrt(max(n, m) eps) s_0.  A Gram side of order <= 512 is
+// eigendecomposed densely; above that, rank(A) comes from a pivoted
+// Cholesky of the Gram side in O(order rank^2) and the leading eigenpairs
 // are captured lazily by a randomized eigensolver sized to the largest r
-// actually requested — never an O(n^3) dense eigendecomposition.
+// actually requested — never an O(order^3) dense eigendecomposition.
+//
+// Conditioning envelope.  Forming the Gram squares the condition number:
+// eigenvalue noise of order max(n, m) eps s_0^2 turns into spurious
+// singular values of order sqrt(max(n, m) eps) s_0, so tau is the smallest
+// singular value the Gram route resolves.  When every nonzero singular
+// value of A lies above tau, rank() equals the dense-SVD rank
+// (linalg::svd_rank with its default max(n, m) eps s_0 threshold).
+// Directions below tau are dropped, never invented: rank() never exceeds
+// the dense-SVD rank.
 #pragma once
 
 #include <cstddef>
@@ -25,18 +44,13 @@ namespace repro::core {
 
 class SubsetSelector {
  public:
-  // Precomputes the SVD of `a`.  Throws if the SVD does not converge.
-  explicit SubsetSelector(const linalg::Matrix& a);
-
-  // Constructs from an existing SVD of A (avoids recomputation when the
-  // caller already has one, e.g. for effective-rank reporting).
-  SubsetSelector(linalg::SvdResult svd, std::size_t rows, std::size_t cols);
-
-  // Gram route: rank and singular vectors derived from W = A A^T
-  // (sigma_i = sqrt(lambda_i), U = eigenvectors).  For n > 512 the
-  // eigenpairs are captured lazily (see file comment); below that the dense
-  // symmetric eigensolver is used directly.
+  // Gram route.  `gram` is W = A A^T (n x n); it is factored directly when
+  // A is wide, and C = A^T A is formed and factored when A is tall.
   SubsetSelector(const linalg::Matrix& a, const linalg::Matrix& gram);
+
+  // Paper-reference oracle: selection from a dense SVD of A that the caller
+  // computed (tests check the Gram route against it).
+  SubsetSelector(linalg::SvdResult svd, std::size_t rows, std::size_t cols);
 
   // Numerical rank of A.
   std::size_t rank() const { return rank_; }
@@ -52,19 +66,17 @@ class SubsetSelector {
   // r, so each distinct r pays for exactly one factorization.
   std::vector<int> select(std::size_t r) const;
 
-  // Alternative heuristic: greedy residual-variance selection = the pivot
-  // order of a rank-revealing Cholesky of W = A A^T (equivalently, QR with
-  // column pivoting on A^T directly, without the SVD truncation of
-  // Algorithm 2).  One factorization serves every r; the ablation bench
-  // compares the two.  Requires the Gram-route constructor.
-  std::vector<int> select_greedy(std::size_t r) const;
+  // Alternative heuristic: greedy residual-variance selection = the first r
+  // entries of greedy_order(gram) (equivalently, QR with column pivoting on
+  // A^T directly, without the SVD truncation of Algorithm 2).  One
+  // factorization serves every r; the ablation bench compares the two.
+  std::vector<int> select_greedy(std::size_t r,
+                                 const linalg::Matrix& gram) const;
 
-  // Full greedy pivot order (pivoted Cholesky of W = A A^T), computed once
-  // and cached.  On the Gram route the retained Gram is used; otherwise the
-  // caller-supplied `gram` backs the factorization — this is what lets the
-  // prefix-sweep evaluator run on SVD-route selectors too.  Only the first
-  // rank() entries are meaningful pivots; the tail lists the never-chosen
-  // indices.
+  // Full greedy pivot order: pivoted Cholesky of the caller's W = A A^T,
+  // computed once and cached (the lazy wide route has it from its rank
+  // factorization already).  Only the first rank() entries are meaningful
+  // pivots; the tail lists the never-chosen indices.
   const std::vector<int>& greedy_order(const linalg::Matrix& gram) const;
 
  private:
@@ -74,17 +86,14 @@ class SubsetSelector {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t rank_ = 0;
-  linalg::Matrix gram_;  // retained only on the Gram route
+  // Lazy route only: the factored Gram side (W or C) and, when it is C, a
+  // copy of A to lift captured eigenvectors V into U = A V diag(s)^-1.
+  linalg::Matrix side_;
+  linalg::Matrix a_;
   bool lazy_ = false;
-  bool have_gram_ = false;
   mutable std::vector<int> greedy_order_;  // pivoted-Cholesky order, lazy
   // Memoized select(r) results (selector is logically const; probes repeat).
   mutable std::map<std::size_t, std::vector<int>> select_memo_;
 };
-
-// Picks the cheaper factorization automatically: the Gram route for wide A
-// (cols >= rows), the direct SVD otherwise.
-SubsetSelector make_subset_selector(const linalg::Matrix& a,
-                                    const linalg::Matrix& gram);
 
 }  // namespace repro::core

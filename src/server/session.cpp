@@ -135,8 +135,7 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
   const linalg::Matrix& a = s->experiment->model().a();
   const linalg::Vector& mu = s->experiment->model().mu_paths();
   const linalg::Matrix gram = linalg::gram(a);
-  s->selector = std::make_unique<core::SubsetSelector>(
-      core::make_subset_selector(a, gram));
+  s->selector = std::make_unique<core::SubsetSelector>(a, gram);
 
   core::PathSelectionOptions opt;
   opt.epsilon = cfg.epsilon;

@@ -3,8 +3,8 @@
 //
 // A session is the expensive part of the service — circuit generation, STA,
 // candidate enumeration, the Gram matrix, the Algorithm-1/2 selection
-// (SubsetSelector memoizes its SVD/pivoted-Cholesky factors and per-r QRCP
-// pivot orders), and the Theorem-2 predictor coefficients.  The cache keys
+// (SubsetSelector memoizes its Gram-side eigen/pivoted-Cholesky factors and
+// per-r QRCP pivot orders), and the Theorem-2 predictor coefficients.  The cache keys
 // on SessionConfig::cache_key(), so a repeat open skips ALL of that O(n·r²)
 // work: the regression pin is that the second open of an identical config
 // leaves `linalg.qr_colpivot.calls` untouched.

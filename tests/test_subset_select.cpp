@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <utility>
 
+#include "core/benchmarks.h"
 #include "core/error_model.h"
+#include "core/path_selection.h"
 #include "linalg/cholesky.h"
 #include "linalg/gemm.h"
+#include "linalg/qr.h"
 #include "linalg/solve.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
@@ -39,16 +45,130 @@ linalg::Matrix low_rank(std::size_t r, std::size_t c, std::size_t rank,
                           random_matrix(rank, c, seed + 1));
 }
 
+// The production selector: the Gram route, given W = A A^T.
+SubsetSelector via_gram(const linalg::Matrix& a) {
+  return SubsetSelector(a, linalg::gram(a));
+}
+
+// The paper-reference selector: Algorithm 2 on a dense SVD of A.
+SubsetSelector oracle(const linalg::Matrix& a) {
+  return SubsetSelector(linalg::svd(a), a.rows(), a.cols());
+}
+
+// A = U diag(s) V^T with random orthonormal U (rows x k) and V (cols x k),
+// k = s.size(): a matrix whose nonzero singular values are exactly `s`.
+linalg::Matrix with_spectrum(std::size_t rows, std::size_t cols,
+                             const std::vector<double>& s,
+                             std::uint64_t seed) {
+  const std::size_t k = s.size();
+  linalg::Matrix u =
+      linalg::qr_thin_q(linalg::qr_factor(random_matrix(rows, k, seed)));
+  const linalg::Matrix v =
+      linalg::qr_thin_q(linalg::qr_factor(random_matrix(cols, k, seed + 1)));
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < k; ++j) u(i, j) *= s[j];
+  }
+  return linalg::multiply_bt(u, v);
+}
+
+// k singular values falling geometrically from 1 to `smallest`.
+std::vector<double> geometric(std::size_t k, double smallest) {
+  std::vector<double> s(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    s[j] = std::pow(smallest, static_cast<double>(j) /
+                                  static_cast<double>(k - 1));
+  }
+  return s;
+}
+
+// A timing constraint at which leaving any single path unmeasured costs at
+// most 25 % (kappa = 3), so eps = 5 % selections are non-trivial.
+double loose_t_cons(const linalg::Matrix& a) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    worst = std::max(worst, linalg::norm2(a.row(i)));
+  }
+  return 3.0 * worst / 0.25;
+}
+
+// Identical rows of A are interchangeable representatives (a QRCP tie
+// between them is broken by rounding), so selections are compared after
+// mapping every row to the first row equal to it.
+std::vector<int> canonical_rows(const linalg::Matrix& a,
+                                const std::vector<int>& rows) {
+  std::vector<int> out;
+  out.reserve(rows.size());
+  for (int i : rows) {
+    const auto row_i = a.row(static_cast<std::size_t>(i));
+    int first = i;
+    for (int j = 0; j < i; ++j) {
+      const auto row_j = a.row(static_cast<std::size_t>(j));
+      if (std::equal(row_i.begin(), row_i.end(), row_j.begin())) {
+        first = j;
+        break;
+      }
+    }
+    out.push_back(first);
+  }
+  return out;
+}
+
+// The Gram route against the SVD oracle: same rank, the same QRCP pivots at
+// every r, and the same Algorithm-1 result under both QRCP drivers.  The
+// pivots are probed from r = rank down, as the linear driver does, so the
+// lazy route captures once with its full oversampling margin.  Circuit
+// pools hold distinct paths that are interchangeable within span(U_r) (the
+// QRCP tie is then broken by rounding on either route); with `ties` such an
+// r passes when both selections leave the same eps_r (both rounding-level
+// zero at r = rank).
+void expect_matches_oracle(const linalg::Matrix& a, double t_cons,
+                           bool ties = false) {
+  const linalg::Matrix w = linalg::gram(a);
+  const SubsetSelector ref = oracle(a);
+  const SubsetSelector sel(a, w);
+  ASSERT_EQ(sel.rank(), ref.rank());
+  for (std::size_t r = ref.rank(); r >= 1; --r) {
+    const std::vector<int> got = sel.select(r);
+    const std::vector<int> want = ref.select(r);
+    if (canonical_rows(a, got) == canonical_rows(a, want)) continue;
+    ASSERT_TRUE(ties) << "pivots differ at r = " << r;
+    const double eps_got =
+        selection_errors_from_gram(w, got, t_cons, 3.0).eps_r;
+    const double eps_want =
+        selection_errors_from_gram(w, want, t_cons, 3.0).eps_r;
+    if (r == ref.rank()) {
+      // Exact selections (Theorem 1): both errors are rounding-level zero.
+      EXPECT_LT(eps_got, 1e-6);
+      EXPECT_LT(eps_want, 1e-6);
+    } else {
+      EXPECT_NEAR(eps_got, eps_want, 1e-12) << "r = " << r;
+    }
+  }
+  for (SelectionStrategy strategy :
+       {SelectionStrategy::kBisection, SelectionStrategy::kLinearDecrement}) {
+    PathSelectionOptions opt;
+    opt.strategy = strategy;
+    const PathSelectionResult got =
+        select_representative_paths(SubsetSelector(a, w), w, t_cons, opt);
+    const PathSelectionResult want =
+        select_representative_paths(ref, w, t_cons, opt);
+    EXPECT_EQ(canonical_rows(a, got.representatives),
+              canonical_rows(a, want.representatives));
+    EXPECT_EQ(got.exact_rank, want.exact_rank);
+    EXPECT_NEAR(got.eps_r, want.eps_r, 1e-12);
+  }
+}
+
 TEST(SubsetSelect, RankMatchesSvd) {
   const linalg::Matrix a = low_rank(30, 20, 7, 1);
-  const SubsetSelector sel(a);
+  const SubsetSelector sel = via_gram(a);
   EXPECT_EQ(sel.rank(), 7u);
   EXPECT_EQ(sel.rank(), linalg::rank(a));
 }
 
 TEST(SubsetSelect, SelectedIndicesValidAndDistinct) {
   const linalg::Matrix a = random_matrix(25, 10, 2);
-  const SubsetSelector sel(a);
+  const SubsetSelector sel = via_gram(a);
   for (std::size_t r = 1; r <= sel.rank(); ++r) {
     const auto idx = sel.select(r);
     EXPECT_EQ(idx.size(), r);
@@ -62,7 +182,7 @@ TEST(SubsetSelect, SelectedIndicesValidAndDistinct) {
 }
 
 TEST(SubsetSelect, BadRThrows) {
-  const SubsetSelector sel(random_matrix(10, 5, 3));
+  const SubsetSelector sel = via_gram(random_matrix(10, 5, 3));
   EXPECT_THROW((void)sel.select(0), std::invalid_argument);
   EXPECT_THROW((void)sel.select(6), std::invalid_argument);
 }
@@ -71,7 +191,7 @@ TEST(SubsetSelect, ExactSelectionSpansRowSpace) {
   // Theorem 1: r = rank(A) selected rows let every other row be written as
   // their linear combination.
   const linalg::Matrix a = low_rank(40, 25, 6, 4);
-  const SubsetSelector sel(a);
+  const SubsetSelector sel = via_gram(a);
   ASSERT_EQ(sel.rank(), 6u);
   const auto rep = sel.select(6);
   const linalg::Matrix a_r = a.select_rows(rep);
@@ -89,7 +209,7 @@ TEST(SubsetSelect, ExactSelectionSpansRowSpace) {
 
 TEST(SubsetSelect, SelectedRowsAreIndependent) {
   const linalg::Matrix a = random_matrix(30, 12, 5);
-  const SubsetSelector sel(a);
+  const SubsetSelector sel = via_gram(a);
   const auto rep = sel.select(sel.rank());
   EXPECT_EQ(linalg::rank(a.select_rows(rep)), sel.rank());
 }
@@ -99,7 +219,7 @@ TEST(SubsetSelect, PivotOrderPrefersDominantRows) {
   // first pivot.
   linalg::Matrix a = random_matrix(12, 6, 6);
   for (std::size_t j = 0; j < 6; ++j) a(4, j) *= 50.0;
-  const SubsetSelector sel(a);
+  const SubsetSelector sel = via_gram(a);
   const auto rep = sel.select(3);
   EXPECT_EQ(rep.front(), 4);
 }
@@ -107,7 +227,7 @@ TEST(SubsetSelect, PivotOrderPrefersDominantRows) {
 TEST(SubsetSelect, DuplicatedRowsNotBothSelected) {
   linalg::Matrix a = random_matrix(10, 8, 7);
   a.set_row(3, a.row(2));  // duplicate rows 2 and 3
-  const SubsetSelector sel(a);
+  const SubsetSelector sel = via_gram(a);
   const auto rep = sel.select(5);
   const bool has2 = std::count(rep.begin(), rep.end(), 2) > 0;
   const bool has3 = std::count(rep.begin(), rep.end(), 3) > 0;
@@ -117,12 +237,12 @@ TEST(SubsetSelect, DuplicatedRowsNotBothSelected) {
 TEST(SubsetSelect, GramRouteMatchesSvdRank) {
   const linalg::Matrix a = low_rank(40, 30, 8, 21);
   const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector direct(a);
-  const SubsetSelector via_gram(a, w);
-  EXPECT_EQ(via_gram.rank(), direct.rank());
+  const SubsetSelector direct = oracle(a);
+  const SubsetSelector gram_side(a, w);
+  EXPECT_EQ(gram_side.rank(), direct.rank());
   // Singular values agree to Gram precision.
   for (std::size_t k = 0; k < direct.rank(); ++k) {
-    EXPECT_NEAR(via_gram.singular_values()[k], direct.singular_values()[k],
+    EXPECT_NEAR(gram_side.singular_values()[k], direct.singular_values()[k],
                 1e-6 * (1.0 + direct.singular_values()[0]));
   }
 }
@@ -132,11 +252,11 @@ TEST(SubsetSelect, GramRouteSelectionSpansSameError) {
   // the induced prediction error must match at every r.
   const linalg::Matrix a = low_rank(35, 25, 6, 23);
   const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector direct(a);
-  const SubsetSelector via_gram(a, w);
+  const SubsetSelector direct = oracle(a);
+  const SubsetSelector gram_side(a, w);
   for (std::size_t r : {2u, 4u, 6u}) {
     const auto sel_d = direct.select(r);
-    const auto sel_g = via_gram.select(r);
+    const auto sel_g = gram_side.select(r);
     const auto err_d = selection_errors_from_gram(w, sel_d, 1000.0, 3.0);
     const auto err_g = selection_errors_from_gram(w, sel_g, 1000.0, 3.0);
     EXPECT_NEAR(err_d.eps_r, err_g.eps_r, 0.3 * (err_d.eps_r + 1e-6) + 1e-9);
@@ -145,8 +265,9 @@ TEST(SubsetSelect, GramRouteSelectionSpansSameError) {
 
 TEST(SubsetSelect, GreedySelectValidAndDistinct) {
   const linalg::Matrix a = random_matrix(30, 18, 25);
-  const SubsetSelector sel(a, linalg::gram(a));
-  const auto rep = sel.select_greedy(10);
+  const linalg::Matrix w = linalg::gram(a);
+  const SubsetSelector sel(a, w);
+  const auto rep = sel.select_greedy(10, w);
   EXPECT_EQ(rep.size(), 10u);
   std::set<int> uniq(rep.begin(), rep.end());
   EXPECT_EQ(uniq.size(), 10u);
@@ -154,15 +275,27 @@ TEST(SubsetSelect, GreedySelectValidAndDistinct) {
 
 TEST(SubsetSelect, GreedyPrefixesNested) {
   const linalg::Matrix a = random_matrix(25, 15, 26);
-  const SubsetSelector sel(a, linalg::gram(a));
-  const auto r5 = sel.select_greedy(5);
-  const auto r9 = sel.select_greedy(9);
+  const linalg::Matrix w = linalg::gram(a);
+  const SubsetSelector sel(a, w);
+  const auto r5 = sel.select_greedy(5, w);
+  const auto r9 = sel.select_greedy(9, w);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(r5[i], r9[i]);
 }
 
-TEST(SubsetSelect, GreedyNeedsGramRoute) {
-  const SubsetSelector sel(random_matrix(10, 6, 27));
-  EXPECT_THROW((void)sel.select_greedy(3), std::logic_error);
+TEST(SubsetSelect, GreedyWorksOnTallAndWideInput) {
+  // Both Gram sides pivot on the caller's W: the greedy order is the
+  // pivoted-Cholesky order of W whichever side the selector factored.
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{40, 12},
+                                   {12, 40}}) {
+    const linalg::Matrix a = random_matrix(rows, cols, 27);
+    const linalg::Matrix w = linalg::gram(a);
+    const SubsetSelector sel(a, w);
+    const linalg::PivotedChol pc = linalg::pivoted_cholesky(w);
+    const auto rep = sel.select_greedy(sel.rank(), w);
+    ASSERT_EQ(rep.size(), std::min(rows, cols));
+    for (std::size_t k = 0; k < rep.size(); ++k) EXPECT_EQ(rep[k], pc.perm[k]);
+    EXPECT_THROW((void)sel.select_greedy(0, w), std::invalid_argument);
+  }
 }
 
 TEST(SubsetSelect, GreedyErrorComparableToAlg2) {
@@ -174,7 +307,7 @@ TEST(SubsetSelect, GreedyErrorComparableToAlg2) {
     const auto e_alg2 =
         selection_errors_from_gram(w, sel.select(r), 1000.0, 3.0);
     const auto e_greedy =
-        selection_errors_from_gram(w, sel.select_greedy(r), 1000.0, 3.0);
+        selection_errors_from_gram(w, sel.select_greedy(r, w), 1000.0, 3.0);
     EXPECT_LT(e_greedy.eps_r, 5.0 * e_alg2.eps_r + 1e-6);
   }
 }
@@ -183,7 +316,7 @@ TEST(SubsetSelect, SelectMemoizesPerR) {
   // Bisection probes revisit candidate sizes; repeated select(r) must not
   // rerun the QR column pivoting (regression for the per-probe waste).
   const linalg::Matrix a = random_matrix(22, 14, 30);
-  const SubsetSelector sel(a);
+  const SubsetSelector sel = via_gram(a);
   const bool was_enabled = util::telemetry::enabled();
   util::telemetry::set_enabled(true);
   util::telemetry::reset();
@@ -202,11 +335,11 @@ TEST(SubsetSelect, SelectMemoizesPerR) {
 }
 
 TEST(SubsetSelect, GreedyOrderFromExternalGram) {
-  // SVD-route selector (no retained Gram): greedy_order must factor the
-  // caller-supplied Gram and match the pivoted-Cholesky order directly.
+  // The oracle holds no Gram: greedy_order must factor the caller-supplied
+  // Gram and match the pivoted-Cholesky order directly.
   const linalg::Matrix a = random_matrix(18, 10, 31);
   const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector sel(a);  // SVD route
+  const SubsetSelector sel = oracle(a);
   const std::vector<int>& order = sel.greedy_order(w);
   EXPECT_EQ(order.size(), 18u);
   const linalg::PivotedChol pc = linalg::pivoted_cholesky(w);
@@ -214,27 +347,124 @@ TEST(SubsetSelect, GreedyOrderFromExternalGram) {
   // Cached: the second call returns the same object.
   EXPECT_EQ(&sel.greedy_order(w), &order);
   // A mis-sized Gram is rejected.
-  EXPECT_THROW((void)SubsetSelector(a).greedy_order(linalg::Matrix(4, 4)),
+  EXPECT_THROW((void)oracle(a).greedy_order(linalg::Matrix(4, 4)),
                std::invalid_argument);
 }
 
 TEST(SubsetSelect, GreedyOrderMatchesGramRoute) {
-  // Gram-route selectors answer from their retained copy; both routes must
-  // produce the same order for the same W.
+  // Both selectors pivot on the same W, so they produce the same order.
   const linalg::Matrix a = random_matrix(20, 24, 32);
   const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector via_gram(a, w);
-  const SubsetSelector via_svd(a);
-  EXPECT_EQ(via_gram.greedy_order(w), via_svd.greedy_order(w));
+  const SubsetSelector gram_side(a, w);
+  EXPECT_EQ(gram_side.greedy_order(w), oracle(a).greedy_order(w));
 }
 
 TEST(SubsetSelect, ReuseExistingSvd) {
   const linalg::Matrix a = random_matrix(15, 9, 8);
   linalg::SvdResult f = linalg::svd(a);
   const SubsetSelector from_svd(std::move(f), a.rows(), a.cols());
-  const SubsetSelector direct(a);
+  const SubsetSelector direct = via_gram(a);
   EXPECT_EQ(from_svd.rank(), direct.rank());
   EXPECT_EQ(from_svd.select(4), direct.select(4));
+}
+
+TEST(SubsetSelect, SmallSideRouteMatchesSvdOracle) {
+  // Tall inputs factor C = A^T A: densely up to order 512 (the first two),
+  // by pivoted Cholesky plus lazy randomized capture above (the third).
+  // Wide inputs keep the W = A A^T route (the fourth).
+  for (const linalg::Matrix& a :
+       {with_spectrum(120, 40, geometric(12, 1e-2), 41),
+        with_spectrum(200, 60, geometric(60, 1e-4), 42),
+        with_spectrum(600, 530, geometric(40, 1e-3), 43),
+        with_spectrum(30, 50, geometric(10, 1e-2), 44)}) {
+    SCOPED_TRACE(a.shape_string());
+    expect_matches_oracle(a, loose_t_cons(a));
+  }
+}
+
+TEST(SubsetSelect, SmallSideRouteMatchesSvdOracleOnS1196) {
+  ExperimentConfig cfg = default_experiment_config("s1196");
+  cfg.max_target_paths = 400;
+  cfg.max_candidates = 4000;
+  cfg.yield_mc_samples = 300;
+  const Experiment e(cfg);
+  const linalg::Matrix& a = e.model().a();
+  ASSERT_GT(a.rows(), a.cols());  // the C = A^T A side
+  expect_matches_oracle(a, e.t_cons_ps(), /*ties=*/true);
+}
+
+TEST(SubsetSelect, ConditioningEnvelope) {
+  // Forming a Gram squares kappa(A).  Tall inputs with duplicate, zero,
+  // scaled and near-collinear rows and sigma_min / sigma_max from 1e-2 to
+  // 1e-12: the selection stays valid, and the rank equals the SVD rank
+  // whenever every nonzero singular value lies above
+  // tau = 4 sqrt(max(n, m) eps) sigma_0, and never exceeds it otherwise.
+  constexpr std::size_t n = 90, m = 30;
+  const double tau_rel =
+      4.0 * std::sqrt(static_cast<double>(std::max(n, m)) *
+                      std::numeric_limits<double>::epsilon());
+  enum Kind { kPlain, kDuplicate, kZero, kScaled, kNearCollinear, kAlmostEqual };
+  std::uint64_t seed = 60;
+  for (double kappa : {1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12}) {
+    for (Kind kind : {kPlain, kDuplicate, kZero, kScaled, kNearCollinear,
+                      kAlmostEqual}) {
+      SCOPED_TRACE("kappa " + std::to_string(kappa) + " kind " +
+                   std::to_string(kind));
+      linalg::Matrix a = with_spectrum(n, m, geometric(10, kappa), ++seed);
+      util::Rng rng(seed);
+      auto perturb_row = [&](std::size_t dst, std::size_t src, double delta) {
+        for (std::size_t j = 0; j < m; ++j) {
+          a(dst, j) = a(src, j) + delta * rng.normal();
+        }
+      };
+      switch (kind) {
+        case kPlain:
+          break;
+        case kDuplicate:
+          a.set_row(7, a.row(3));
+          a.set_row(50, a.row(3));
+          break;
+        case kZero:
+          for (std::size_t j = 0; j < m; ++j) a(11, j) = a(12, j) = 0.0;
+          break;
+        case kScaled:
+          for (std::size_t j = 0; j < m; ++j) a(20, j) = 1e3 * a(5, j);
+          break;
+        case kNearCollinear:  // a direction far below tau
+          perturb_row(30, 8, 1e-9);
+          break;
+        case kAlmostEqual:  // a direction far above tau
+          perturb_row(30, 8, 1e-3);
+          break;
+      }
+      const SubsetSelector ref = oracle(a);
+      const linalg::Matrix w = linalg::gram(a);
+      const SubsetSelector sel(a, w);
+      const linalg::Vector& s = ref.singular_values();
+      const double smallest = s[ref.rank() - 1] / s[0];
+      if (smallest > tau_rel) {
+        EXPECT_EQ(sel.rank(), ref.rank()) << "sigma_min/sigma_0 " << smallest;
+      } else {
+        EXPECT_LE(sel.rank(), ref.rank()) << "sigma_min/sigma_0 " << smallest;
+      }
+      const auto all = sel.select(sel.rank());
+      EXPECT_EQ(std::set<int>(all.begin(), all.end()).size(), all.size());
+
+      PathSelectionOptions opt;
+      const PathSelectionResult res =
+          select_representative_paths(a, loose_t_cons(a), opt, &w);
+      const std::set<int> uniq(res.representatives.begin(),
+                               res.representatives.end());
+      EXPECT_EQ(uniq.size(), res.representatives.size());
+      for (int i : res.representatives) {
+        EXPECT_GE(i, 0);
+        EXPECT_LT(i, static_cast<int>(n));
+      }
+      EXPECT_TRUE(res.eps_r <= opt.epsilon ||
+                  res.representatives.size() == res.exact_rank)
+          << "eps_r " << res.eps_r << " |Pr| " << res.representatives.size();
+    }
+  }
 }
 
 }  // namespace

@@ -45,6 +45,7 @@ REQUIRED_METRICS = {
     "server": ("requests_per_s", "concurrent_sessions",
                "batched_speedup_vs_serial", "batch_mean_size",
                "bit_identical", "cache_hit_zero_refactor"),
+    "table1_path_selection": ("max_e1",),
     "shard_scale": ("n_paths", "shards", "levels", "eps_r", "tolerance_met",
                     "repair_promotions", "peak_panel_bytes",
                     "mem_budget_bytes", "dense_bytes", "mem_ok",
@@ -58,6 +59,13 @@ REQUIRED_METRICS = {
 # leg and reports speedup 1.0 by construction) AND the dispatched tier is a
 # SIMD tier — scalar-vs-scalar is identically 1.0.  Records predating
 # scalar_timed fall back to the dispatched_tier test alone.
+# Records of benches whose selections must never run a dense SVD: every
+# SubsetSelector factors the smaller Gram side of A, so a `linalg.svd` span
+# or a non-zero `core.select.svd_route` counter in one of them means a
+# selection path regressed to the Golub-Reinsch route.
+SVD_FREE_BENCHES = ("table1_path_selection", "server")
+# Table 1's tolerance: the Monte-Carlo e1 of every row must stay below it.
+TABLE1_EPSILON = 0.05
 SPEEDUP_FLOORS = {
     "kernels": {
         "gemm_speedup_vs_scalar": 1.5,
@@ -221,9 +229,27 @@ def validate(path):
                     f"shard regression: peak panel memory {peak} bytes is "
                     f"not out-of-core (>= 1/4 of the {dense}-byte dense "
                     f"footprint)")
+    if rec["bench"] == "table1_path_selection":
+        max_e1 = float(rec["metrics"]["max_e1"])
+        if not max_e1 < TABLE1_EPSILON:
+            raise ValueError(
+                f"table1 regression: max_e1 = {max_e1:.4g} not below "
+                f"eps = {TABLE1_EPSILON}")
     for key in TELEMETRY_KEYS:
         if key not in rec["telemetry"]:
             raise ValueError(f"telemetry missing {key!r}")
+    if rec["bench"] in SVD_FREE_BENCHES:
+        svd_spans = [name for name in rec["telemetry"]["spans"]
+                     if name == "linalg.svd" or name.startswith("linalg.svd.")]
+        if svd_spans:
+            raise ValueError(f"dense SVD in a selection record: spans "
+                             f"{svd_spans} (selection must factor the "
+                             f"smaller Gram side)")
+        svd_route = int(rec["telemetry"]["counters"].get(
+            "core.select.svd_route", 0))
+        if svd_route != 0:
+            raise ValueError(f"core.select.svd_route = {svd_route}: a "
+                             f"selection took the dense SVD route")
     # An enabled run whose snapshot is empty means the registry was reset or
     # never flushed — a broken record, not a quiet one.  Older records lack
     # the flag; fall back to the environment the validator runs under.
