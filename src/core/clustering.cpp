@@ -1,10 +1,8 @@
 #include "core/clustering.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "linalg/gemm.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -133,68 +131,6 @@ linalg::Matrix spherical_centers(const linalg::Matrix& a,
     ++out;
   }
   return centers;
-}
-
-ClusteredSelectionResult select_paths_clustered(
-    const linalg::Matrix& a, double t_cons,
-    const ClusteredSelectionOptions& options) {
-  REPRO_CHECK(t_cons > 0.0, "select_paths_clustered: t_cons must be positive");
-  const std::size_t n = a.rows();
-  if (n == 0) throw std::invalid_argument("select_paths_clustered: empty A");
-  std::size_t k = options.num_clusters;
-  if (k == 0) k = std::max<std::size_t>(1, (n + 499) / 500);
-  k = std::min(k, n);
-
-  ClusteredSelectionResult out;
-  out.clusters_used = k;
-  out.cluster_of_path =
-      cluster_rows_spherical(a, k, options.kmeans_iterations, options.seed);
-
-  // Per-cluster Algorithm 1.
-  for (std::size_t c = 0; c < k; ++c) {
-    std::vector<int> members;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (out.cluster_of_path[i] == static_cast<int>(c)) {
-        members.push_back(static_cast<int>(i));
-      }
-    }
-    if (members.empty()) continue;
-    if (members.size() == 1) {
-      out.representatives.push_back(members.front());
-      continue;
-    }
-    const linalg::Matrix a_c = a.select_rows(members);
-    const PathSelectionResult sel =
-        select_representative_paths(a_c, t_cons, options.selection);
-    for (int local : sel.representatives) {
-      out.representatives.push_back(members[static_cast<std::size_t>(local)]);
-    }
-  }
-  std::sort(out.representatives.begin(), out.representatives.end());
-
-  // Global verification + greedy repair: the per-cluster tolerance does not
-  // bound cross-cluster residuals, so check against the full set and add
-  // the worst offender until the global bound holds.
-  const linalg::Matrix gram = linalg::gram(a);
-  out.errors = selection_errors_from_gram(gram, out.representatives, t_cons,
-                                          options.selection.kappa);
-  while (out.errors.eps_r > options.selection.epsilon &&
-         out.representatives.size() < n) {
-    // Worst remaining path joins the representatives.
-    std::size_t worst = 0;
-    for (std::size_t i = 1; i < out.errors.per_path_eps.size(); ++i) {
-      if (out.errors.per_path_eps[i] > out.errors.per_path_eps[worst]) {
-        worst = i;
-      }
-    }
-    out.representatives.push_back(out.errors.remaining[worst]);
-    std::sort(out.representatives.begin(), out.representatives.end());
-    ++out.greedy_additions;
-    out.errors = selection_errors_from_gram(gram, out.representatives, t_cons,
-                                            options.selection.kappa);
-  }
-  out.eps_r = out.errors.eps_r;
-  return out;
 }
 
 }  // namespace repro::core

@@ -86,7 +86,9 @@ ShardSelection select_one_shard(const PathPanelSource& source,
 
 struct VerifyOutcome {
   double eps_r = 0.0;
-  std::vector<std::pair<double, int>> violators;  // (eps, global id)
+  // (eps, global id) of every non-representative path, in pool order.
+  std::vector<std::pair<double, int>> residuals;
+  std::size_t violators = 0;  // residuals above epsilon
   std::size_t blocks = 0;
 };
 
@@ -116,6 +118,7 @@ VerifyOutcome verify_selection(const PathPanelSource& source,
   }
 
   VerifyOutcome out;
+  out.residuals.reserve(n - r);
   const std::size_t block = std::max<std::size_t>(block_rows, 1);
   std::vector<int> ids(std::min(block, n));
   linalg::Matrix panel(ids.size(), m);
@@ -143,11 +146,20 @@ VerifyOutcome verify_selection(const PathPanelSource& source,
       }
       const double eps = kappa * std::sqrt(std::max(var, 0.0)) / t_cons;
       out.eps_r = std::max(out.eps_r, eps);
-      if (eps > epsilon) out.violators.emplace_back(eps, id);
+      if (eps > epsilon) ++out.violators;
+      out.residuals.emplace_back(eps, id);
     }
     ++out.blocks;
   }
   return out;
+}
+
+// Error-descending, id tie-break: a total order, so any prefix a partial
+// sort yields equals the full sort's.
+bool worse_residual(const std::pair<double, int>& a,
+                    const std::pair<double, int>& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second < b.second;
 }
 
 }  // namespace
@@ -412,28 +424,24 @@ ShardedSelectionResult select_paths_sharded(
           options.selection.epsilon, options.block_rows, &budget);
       blocks += verdict.blocks;
       result.eps_r = verdict.eps_r;
-      if (verdict.violators.empty()) {
-        result.tolerance_met = true;
-        break;
-      }
-      if (round >= options.max_repair_rounds ||
+      std::vector<std::pair<double, int>>& res = verdict.residuals;
+      result.tolerance_met = verdict.violators == 0;
+      if (result.tolerance_met || round >= options.max_repair_rounds ||
           result.representatives.size() >= n) {
-        result.tolerance_met = false;
+        std::sort(res.begin(), res.end(), worse_residual);
+        result.backup_order.reserve(res.size());
+        for (const auto& [eps, id] : res) result.backup_order.push_back(id);
         break;
       }
-      // Promote the worst offenders (error-descending, id tie-break) in one
-      // batch; the next round re-verifies with them included.
-      std::sort(verdict.violators.begin(), verdict.violators.end(),
-                [](const std::pair<double, int>& a,
-                   const std::pair<double, int>& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      const std::size_t take =
-          std::min<std::size_t>(options.max_promotions_per_round,
-                                verdict.violators.size());
+      // Promote the worst offenders in one batch; the next round
+      // re-verifies with them included.
+      const std::size_t take = std::min<std::size_t>(
+          options.max_promotions_per_round, verdict.violators);
+      std::partial_sort(res.begin(),
+                        res.begin() + static_cast<std::ptrdiff_t>(take),
+                        res.end(), worse_residual);
       for (std::size_t j = 0; j < take; ++j) {
-        result.representatives.push_back(verdict.violators[j].second);
+        result.representatives.push_back(res[j].second);
       }
       std::sort(result.representatives.begin(), result.representatives.end());
       result.repair_promotions += take;

@@ -27,7 +27,8 @@
 //                a_i||^2.  Paths whose error exceeds eps are promoted into
 //                the selection in batches until the global bound holds (or
 //                max_repair_rounds is exhausted — tolerance_met reports
-//                honestly).
+//                honestly).  The last pass's residuals, worst first, are
+//                the backup order for dead representatives.
 //
 // Every materialized panel is leased against a PanelBudget, so the result
 // carries the true peak resident panel footprint; bench_shard_scale gates it
@@ -99,6 +100,10 @@ struct ShardedSelectionResult {
   std::size_t repair_promotions = 0;
   std::size_t peak_panel_bytes = 0;  // high-water resident panel footprint
   std::vector<ShardStats> shard_stats;  // level-0 shards only
+  // Every non-representative id by its verified residual variance, worst
+  // first (id tie-break).  The head is the next pivoted-Cholesky pivot given
+  // the representatives, so this is the order to promote backups in.
+  std::vector<int> backup_order;
 };
 
 // Partitions `pool_ids` (ascending global path ids) into shards; the plan is

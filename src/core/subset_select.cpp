@@ -24,6 +24,15 @@ double gram_rank_rel_tol(std::size_t rows, std::size_t cols) {
   return std::sqrt(dim * std::numeric_limits<double>::epsilon()) * 4.0;
 }
 
+// The Gram-route rank rule: a pivoted Cholesky of W or C that stops at the
+// eigenvalue-scale tolerance tau^2.  Its rank is rank(A); on W its pivot
+// order is also the greedy order.
+linalg::PivotedChol pivoted_gram(const linalg::Matrix& side, std::size_t rows,
+                                 std::size_t cols) {
+  const double tol = gram_rank_rel_tol(rows, cols);
+  return linalg::pivoted_cholesky(side, tol * tol);
+}
+
 // The k leading eigenvectors of an eigen_sym result (ascending), as columns
 // in descending eigenvalue order.
 linalg::Matrix leading_vectors(const linalg::Matrix& vectors, std::size_t k) {
@@ -72,13 +81,11 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a,
   const bool tall = rows_ > cols_;
   linalg::Matrix side = tall ? linalg::gram_t(a) : gram;
   const std::size_t order = side.rows();
-  const double tol = gram_rank_rel_tol(rows_, cols_);
   if (order > 512) {
     // Lazy route: rank from pivoted Cholesky (O(order rank^2)); eigenpairs
     // are captured on demand by ensure_captured().  On W the pivot order is
     // also the greedy order.
-    const linalg::PivotedChol pc =
-        linalg::pivoted_cholesky(side, tol * tol);  // eigenvalue-scale tol
+    const linalg::PivotedChol pc = pivoted_gram(side, rows_, cols_);
     rank_ = pc.rank;
     if (tall) {
       a_ = a;
@@ -98,16 +105,21 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a,
   for (std::size_t k = 0; k < order; ++k) {
     svd_.s[k] = std::sqrt(std::max(eig.values[order - 1 - k], 0.0));
   }
-  rank_ = linalg::svd_rank(svd_, rows_, cols_, tol);
+  rank_ =
+      linalg::svd_rank(svd_, rows_, cols_, gram_rank_rel_tol(rows_, cols_));
   linalg::Matrix lead = leading_vectors(eig.vectors, rank_);
   svd_.u = tall ? lift_left(a, lead, svd_.s) : std::move(lead);
 }
 
 void SubsetSelector::ensure_captured(std::size_t k) const {
-  if (!lazy_ || svd_.s.size() >= k) return;
-  const util::telemetry::Span span("core.select.eig_capture");
+  if (!lazy_) return;
   const std::size_t order = side_.rows();
   linalg::RandomizedEigOptions opt;
+  // A sketch's last `oversample` vectors are its least accurate, so k values
+  // are usable only when k + oversample are held; the min stops a
+  // full-order capture from recapturing.
+  if (svd_.s.size() >= std::min(order, k + opt.oversample)) return;
+  const util::telemetry::Span span("core.select.eig_capture");
   opt.initial_rank = std::min(order, std::max(k, 2 * svd_.s.size()));
   opt.adaptive = false;  // capture exactly what was asked (plus oversample)
   linalg::RandomizedEigResult eig = linalg::randomized_eig_psd(side_, opt);
@@ -171,10 +183,18 @@ const std::vector<int>& SubsetSelector::greedy_order(
       throw std::invalid_argument(
           "SubsetSelector::greedy_order: Gram order vs path count");
     }
-    const double tol = gram_rank_rel_tol(rows_, cols_);
-    greedy_order_ = linalg::pivoted_cholesky(gram, tol * tol).perm;
+    greedy_order_ = pivoted_gram(gram, rows_, cols_).perm;
   }
   return greedy_order_;
+}
+
+// Every shape is valid input (an empty A has rank 0), so there is no
+// precondition to state.
+// repro-lint: allow(contracts)
+std::size_t gram_rank(const linalg::Matrix& a) {
+  const linalg::Matrix side =
+      a.rows() > a.cols() ? linalg::gram_t(a) : linalg::gram(a);
+  return pivoted_gram(side, a.rows(), a.cols()).rank;
 }
 
 }  // namespace repro::core

@@ -21,7 +21,8 @@
 // eigendecomposed densely; above that, rank(A) comes from a pivoted
 // Cholesky of the Gram side in O(order rank^2) and the leading eigenpairs
 // are captured lazily by a randomized eigensolver sized to the largest r
-// actually requested — never an O(order^3) dense eigendecomposition.
+// actually requested plus its oversampling margin — never an O(order^3)
+// dense eigendecomposition.
 //
 // Conditioning envelope.  Forming the Gram squares the condition number:
 // eigenvalue noise of order max(n, m) eps s_0^2 turns into spurious
@@ -95,5 +96,11 @@ class SubsetSelector {
   // Memoized select(r) results (selector is logically const; probes repeat).
   mutable std::map<std::size_t, std::vector<int>> select_memo_;
 };
+
+// rank(A) by the lazy route's rule: a pivoted Cholesky of the smaller Gram
+// side (C = A^T A when A is tall, W = A A^T otherwise) at tolerance tau^2.
+// Only that side is formed, so a tall pool never pays for an n x n block.
+// It equals SubsetSelector::rank() whenever that side has order > 512.
+std::size_t gram_rank(const linalg::Matrix& a);
 
 }  // namespace repro::core

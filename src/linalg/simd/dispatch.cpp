@@ -28,7 +28,6 @@ const KernelOps* table_for(Tier tier) {
     case Tier::kScalar: return scalar_ops();
     case Tier::kAvx2: return avx2_ops();
     case Tier::kAvx512: return avx512_ops();
-    case Tier::kNeon: return neon_ops();
   }
   return nullptr;
 }
@@ -40,7 +39,6 @@ bool runnable(Tier tier) {
     case Tier::kScalar: return true;
     case Tier::kAvx2: return cpu.avx2;
     case Tier::kAvx512: return cpu.avx512f;
-    case Tier::kNeon: return cpu.neon;
   }
   return false;
 }
@@ -49,7 +47,6 @@ bool parse_tier(std::string_view name, Tier& out) {
   if (name == "scalar") out = Tier::kScalar;
   else if (name == "avx2") out = Tier::kAvx2;
   else if (name == "avx512") out = Tier::kAvx512;
-  else if (name == "neon") out = Tier::kNeon;
   else return false;
   return true;
 }
@@ -94,7 +91,6 @@ const char* tier_name(Tier tier) {
     case Tier::kScalar: return "scalar";
     case Tier::kAvx2: return "avx2";
     case Tier::kAvx512: return "avx512";
-    case Tier::kNeon: return "neon";
   }
   return "scalar";
 }
@@ -102,7 +98,7 @@ const char* tier_name(Tier tier) {
 bool tier_available(Tier tier) { return runnable(tier); }
 
 Tier best_available_tier() {
-  for (Tier t : {Tier::kAvx512, Tier::kAvx2, Tier::kNeon}) {
+  for (Tier t : {Tier::kAvx512, Tier::kAvx2}) {
     if (runnable(t)) return t;
   }
   return Tier::kScalar;
@@ -110,7 +106,7 @@ Tier best_available_tier() {
 
 std::vector<Tier> available_tiers() {
   std::vector<Tier> out{Tier::kScalar};
-  for (Tier t : {Tier::kNeon, Tier::kAvx2, Tier::kAvx512}) {
+  for (Tier t : {Tier::kAvx2, Tier::kAvx512}) {
     if (runnable(t)) out.push_back(t);
   }
   return out;

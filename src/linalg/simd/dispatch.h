@@ -3,7 +3,7 @@
 // The blocked GEMM, SYRK-style Gram, multi-RHS trsm, and Cholesky kernels
 // all bottom out in a handful of vector primitives (axpy, dot, a packed
 // micro-tile GEMM).  Each primitive exists in one table per instruction-set
-// tier — scalar, AVX2+FMA, AVX-512F, NEON — compiled unconditionally (every
+// tier — scalar, AVX2+FMA, AVX-512F — compiled unconditionally (every
 // tier's translation unit carries its own -m flags) and selected once at
 // startup from CPUID, so one portable binary runs the widest tier the host
 // actually has.
@@ -22,7 +22,7 @@
 //     executing thread.
 //
 // Tier selection: best available by default; the REPRO_KERNEL environment
-// variable ("scalar", "avx2", "avx512", "neon") forces a tier at startup.
+// variable ("scalar", "avx2", "avx512") forces a tier at startup.
 // Forcing an unknown or unavailable tier at startup falls back to scalar
 // and ticks the linalg.simd.dispatch_fallback counter (a later failed
 // set_tier keeps the active tier instead — see set_tier below).
@@ -35,9 +35,9 @@
 
 namespace repro::linalg::simd {
 
-enum class Tier { kScalar = 0, kAvx2, kAvx512, kNeon };
+enum class Tier { kScalar = 0, kAvx2, kAvx512 };
 
-// Lower-case tier name ("scalar", "avx2", "avx512", "neon").
+// Lower-case tier name ("scalar", "avx2", "avx512").
 const char* tier_name(Tier tier);
 
 // True when the tier's kernels are both compiled in and runnable on this

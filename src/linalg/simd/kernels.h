@@ -45,7 +45,6 @@ struct KernelOps {
 const KernelOps* scalar_ops();
 const KernelOps* avx2_ops();
 const KernelOps* avx512_ops();
-const KernelOps* neon_ops();
 
 // Table for the active tier (never null; scalar when nothing wider is
 // available).  Hot kernels load this once per call.

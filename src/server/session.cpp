@@ -5,6 +5,7 @@
 #include "core/measurement.h"
 #include "core/panel_source.h"
 #include "core/sharded_selection.h"
+#include "core/subset_select.h"
 #include "linalg/gemm.h"
 #include "util/telemetry.h"
 
@@ -110,7 +111,7 @@ std::uint64_t PredictBatcher::dies() const {
 SessionInfo Session::info(bool cached) const {
   SessionInfo out;
   out.session = id;
-  out.rank = static_cast<std::uint32_t>(selector->rank());
+  out.rank = static_cast<std::uint32_t>(selection.exact_rank);
   out.n_meas = static_cast<std::uint32_t>(predictor.measured_paths.size());
   out.n_rem = static_cast<std::uint32_t>(predictor.remaining.size());
   out.eps_r = selection.eps_r;
@@ -134,43 +135,45 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
 
   const linalg::Matrix& a = s->experiment->model().a();
   const linalg::Vector& mu = s->experiment->model().mu_paths();
-  const linalg::Matrix gram = linalg::gram(a);
-  s->selector = std::make_unique<core::SubsetSelector>(a, gram);
+  const double t_cons = s->experiment->t_cons_ps();
 
   core::PathSelectionOptions opt;
   opt.epsilon = cfg.epsilon;
   opt.kappa = cfg.kappa;
   opt.strategy = static_cast<core::SelectionStrategy>(cfg.strategy);
   opt.min_r = cfg.min_r;
+  // Streamed dies go through the robust gate, whose noise prior matches the
+  // default tester fault model; backups replace dead representatives.
+  core::RobustOptions ropt;
   if (cfg.num_shards > 1) {
     // Sharded out-of-core route (DESIGN.md §14): partition the pool, select
-    // per shard, verify/repair globally.  The pool here is in memory
-    // already, so this is the service's capacity escape hatch for configs
-    // whose dense Gram would not fit — and the protocol surface for
-    // operating the pipeline remotely.
+    // per shard, verify/repair globally.  It is the service's capacity
+    // escape hatch for configs whose dense Gram would not fit, so nothing
+    // here forms an n x n block: the rank comes from the smaller Gram side,
+    // and backups follow the verify pass's residuals, worst first.
     core::ShardedSelectionOptions sopt;
     sopt.num_shards = cfg.num_shards;
     sopt.selection = opt;
     const core::MatrixPanelSource source(a);
-    const core::ShardedSelectionResult sharded = core::select_paths_sharded(
-        source, s->experiment->t_cons_ps(), sopt);
-    s->selection.representatives = sharded.representatives;
-    s->selection.exact_rank = s->selector->rank();
+    core::ShardedSelectionResult sharded =
+        core::select_paths_sharded(source, t_cons, sopt);
+    s->selection.representatives = std::move(sharded.representatives);
+    s->selection.exact_rank = core::gram_rank(a);
     s->selection.eps_r = sharded.eps_r;
-    s->selection.errors = core::selection_errors_from_gram(
-        gram, sharded.representatives, s->experiment->t_cons_ps(), opt.kappa);
+    ropt.backup_order = std::move(sharded.backup_order);
   } else {
-    s->selection = core::select_representative_paths(
-        *s->selector, gram, s->experiment->t_cons_ps(), opt);
+    // The selector is a local, so a live session keeps none of its factors
+    // (U_r, the Gram side, the lazy tall route's copy of A).  Backups follow
+    // the greedy pivot order.
+    const linalg::Matrix gram = linalg::gram(a);
+    const core::SubsetSelector selector(a, gram);
+    s->selection =
+        core::select_representative_paths(selector, gram, t_cons, opt);
+    ropt.backup_order = selector.greedy_order(gram);
   }
 
   s->predictor =
       core::make_path_predictor(a, mu, s->selection.representatives);
-
-  // Streamed dies go through the robust gate; backups come from the greedy
-  // pivot order and the noise prior matches the default tester fault model.
-  core::RobustOptions ropt;
-  ropt.backup_order = s->selector->greedy_order(gram);
   ropt.measurement_sigma_ps =
       core::expected_noise_sigma(core::default_fault_spec(),
                                  s->predictor.mu_meas);

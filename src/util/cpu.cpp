@@ -17,9 +17,6 @@ CpuFeatures detect() {
   // _mm* usage confined to src/linalg/simd/ (repro_lint: simd-confinement).
   f.avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   f.avx512f = __builtin_cpu_supports("avx512f");
-#elif defined(__aarch64__)
-  // Advanced SIMD is architecturally mandatory on AArch64.
-  f.neon = true;
 #endif
   return f;
 }

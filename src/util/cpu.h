@@ -14,7 +14,6 @@ namespace repro::util {
 struct CpuFeatures {
   bool avx2 = false;     // AVX2 + FMA (both required by the avx2 tier)
   bool avx512f = false;  // AVX-512 Foundation
-  bool neon = false;     // AArch64 Advanced SIMD (compile-time on arm64)
 };
 
 // Detected once on first call, then cached for the process.

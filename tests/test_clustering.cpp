@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <set>
 
+#include "core/panel_source.h"
+#include "core/path_selection.h"
+#include "core/sharded_selection.h"
 #include "linalg/gemm.h"
 #include "util/rng.h"
 
@@ -81,15 +84,23 @@ TEST(Clustering, DeterministicForSeed) {
             cluster_rows_spherical(a, 4, 10, 42));
 }
 
-TEST(ClusteredSelection, MeetsGlobalTolerance) {
+// Paper Section 4.4's clustered selection is the sharded pipeline over an
+// in-memory pool: k-means plan, per-shard selection, merge, then a verify
+// and repair pass against every path.
+ShardedSelectionResult select_sharded(const linalg::Matrix& a,
+                                      std::size_t shards, double epsilon) {
+  ShardedSelectionOptions opt;
+  opt.num_shards = shards;
+  opt.selection.epsilon = epsilon;
+  return select_paths_sharded(MatrixPanelSource(a), 2000.0, opt);
+}
+
+TEST(ShardedClustering, MeetsGlobalTolerance) {
   const linalg::Matrix a = blobby_rows(120, 30, 5, 0.05, 5);
-  ClusteredSelectionOptions opt;
-  opt.num_clusters = 5;
-  opt.selection.epsilon = 0.05;
-  const ClusteredSelectionResult r =
-      select_paths_clustered(a, 2000.0, opt);
+  const ShardedSelectionResult r = select_sharded(a, 5, 0.05);
+  EXPECT_TRUE(r.tolerance_met);
   EXPECT_LE(r.eps_r, 0.05);
-  EXPECT_EQ(r.clusters_used, 5u);
+  EXPECT_EQ(r.shards, 5u);
   // Representatives are valid, unique indices.
   std::set<int> uniq(r.representatives.begin(), r.representatives.end());
   EXPECT_EQ(uniq.size(), r.representatives.size());
@@ -99,51 +110,48 @@ TEST(ClusteredSelection, MeetsGlobalTolerance) {
   }
 }
 
-TEST(ClusteredSelection, ComparableSizeToDirectSelection) {
+TEST(ShardedClustering, ComparableSizeToDirectSelection) {
   const linalg::Matrix a = blobby_rows(150, 40, 6, 0.05, 6);
   PathSelectionOptions direct_opt;
   direct_opt.epsilon = 0.05;
   const PathSelectionResult direct =
       select_representative_paths(a, 2000.0, direct_opt);
-  ClusteredSelectionOptions copt;
-  copt.num_clusters = 6;
-  copt.selection.epsilon = 0.05;
-  const ClusteredSelectionResult clustered =
-      select_paths_clustered(a, 2000.0, copt);
-  // Clustering trades selection size for speed; it must stay within a small
+  const ShardedSelectionResult sharded = select_sharded(a, 6, 0.05);
+  // Sharding trades selection size for speed; it must stay within a small
   // factor of the direct answer.
-  EXPECT_LE(clustered.representatives.size(),
+  EXPECT_LE(sharded.representatives.size(),
             3 * direct.representatives.size() + 6);
 }
 
-TEST(ClusteredSelection, SingleClusterMatchesDirect) {
+TEST(ShardedClustering, SingleShardMatchesDirect) {
   const linalg::Matrix a = blobby_rows(50, 15, 3, 0.05, 7);
-  ClusteredSelectionOptions copt;
-  copt.num_clusters = 1;
-  copt.selection.epsilon = 0.05;
-  const ClusteredSelectionResult clustered =
-      select_paths_clustered(a, 2000.0, copt);
+  const ShardedSelectionResult sharded = select_sharded(a, 1, 0.05);
   PathSelectionOptions direct_opt;
   direct_opt.epsilon = 0.05;
   const PathSelectionResult direct =
       select_representative_paths(a, 2000.0, direct_opt);
   std::vector<int> sorted_direct = direct.representatives;
   std::sort(sorted_direct.begin(), sorted_direct.end());
-  EXPECT_EQ(clustered.representatives, sorted_direct);
-  EXPECT_EQ(clustered.greedy_additions, 0u);
+  EXPECT_EQ(sharded.representatives, sorted_direct);
+  EXPECT_EQ(sharded.repair_promotions, 0u);
 }
 
-TEST(ClusteredSelection, AutoClusterCount) {
+TEST(ShardedClustering, AutoShardCount) {
   const linalg::Matrix a = blobby_rows(60, 10, 3, 0.1, 8);
-  ClusteredSelectionOptions copt;  // num_clusters = 0 -> auto
-  copt.selection.epsilon = 0.08;
-  const ClusteredSelectionResult r = select_paths_clustered(a, 2000.0, copt);
-  EXPECT_GE(r.clusters_used, 1u);
+  ShardedSelectionOptions opt;  // num_shards = 0 -> ceil(n / target)
+  opt.target_shard_paths = 20;
+  opt.merge_pool_cap = 30;  // below n, so the automatic plan runs
+  opt.selection.epsilon = 0.08;
+  const ShardedSelectionResult r =
+      select_paths_sharded(MatrixPanelSource(a), 2000.0, opt);
+  EXPECT_EQ(r.shards, 3u);
+  EXPECT_TRUE(r.tolerance_met);
   EXPECT_LE(r.eps_r, 0.08);
 }
 
-TEST(ClusteredSelection, EmptyMatrixThrows) {
-  EXPECT_THROW((void)select_paths_clustered(linalg::Matrix(), 100.0, {}),
+TEST(ShardedClustering, EmptySourceThrows) {
+  const linalg::Matrix empty;
+  EXPECT_THROW((void)select_paths_sharded(MatrixPanelSource(empty), 100.0),
                std::invalid_argument);
 }
 

@@ -15,10 +15,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/error_model.h"
+#include "linalg/gemm.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "util/json.h"
@@ -227,6 +230,81 @@ TEST(ServerLimits, OversizedOpensRejectedStructurallyAndShardedRouteWorks) {
   EXPECT_EQ(predicted.size(), info.n_rem);
 
   server.stop();
+}
+
+TEST_F(ServerFixture, ShardedOpenFormsNoPoolGramAndBacksUpByResidual) {
+  // A tall pool (778 paths x 582 parameters): the rank comes from the
+  // 582 x 582 A^T A side on both routes, so the two ranks must agree.
+  SessionConfig mono_cfg;
+  mono_cfg.benchmark = "s1423";
+  mono_cfg.max_target_paths = 1000;
+  mono_cfg.max_candidates = 4000;
+  mono_cfg.yield_samples = 300;
+  SessionConfig sharded_cfg = mono_cfg;
+  sharded_cfg.num_shards = 4;
+
+  Client client;
+  ASSERT_TRUE(make_client(client));
+  const std::uint64_t syrk_before = counter_value("linalg.syrk.flops");
+  SessionInfo info;
+  ASSERT_TRUE(client.open_session(sharded_cfg, info)) <<
+      client.last_error_message();
+  const std::uint64_t syrk_flops =
+      counter_value("linalg.syrk.flops") - syrk_before;
+  const std::shared_ptr<Session> session = server.sessions().find(info.session);
+  ASSERT_NE(session, nullptr);
+  const linalg::Matrix& a = session->experiment->model().a();
+  const std::size_t n = a.rows();
+  const std::size_t m = a.cols();
+  ASSERT_GT(n, m);
+  // linalg.syrk.flops counts k n (n + 1) for a Gram of order n over k
+  // columns.  Besides the m x m A^T A side for the rank, the open's SYRK
+  // work (shard, merge and verify Grams) must stay below one n x n Gram.
+  ASSERT_GE(syrk_flops, n * m * (m + 1));
+  EXPECT_LT(syrk_flops - n * m * (m + 1), m * n * (n + 1));
+
+  SessionInfo mono;
+  ASSERT_TRUE(client.open_session(mono_cfg, mono));
+  EXPECT_NE(mono.session, info.session);
+  EXPECT_EQ(info.rank, mono.rank);
+
+  // Backups are every other path, worst verified residual first: the head
+  // is the path the representatives predict worst.
+  const std::vector<int> reps(info.representatives.begin(),
+                              info.representatives.end());
+  core::RobustOptions ropt;
+  {
+    const std::lock_guard<std::mutex> lk(session->stream_mu);
+    ropt = session->calibrator->predictor().options;
+  }
+  ASSERT_EQ(ropt.backup_order.size(), n - reps.size());
+  for (int r : reps) {
+    EXPECT_EQ(std::count(ropt.backup_order.begin(), ropt.backup_order.end(),
+                         r), 0);
+  }
+  const core::SelectionErrors errors = core::selection_errors_from_gram(
+      linalg::gram(a), reps, session->experiment->t_cons_ps(),
+      sharded_cfg.kappa);
+  const auto worst = std::max_element(errors.per_path_eps.begin(),
+                                      errors.per_path_eps.end());
+  EXPECT_EQ(ropt.backup_order.front(),
+            errors.remaining[static_cast<std::size_t>(
+                worst - errors.per_path_eps.begin())]);
+
+  // A dead representative: the observe answers every remaining path, and
+  // the session's robust options promote the head backup in its place.
+  std::vector<double> measured(info.n_meas, 300.0);
+  measured[0] = std::nan("");
+  ObserveOutcome outcome;
+  ASSERT_TRUE(client.observe(info.session, measured,
+                             std::vector<std::uint8_t>(info.n_meas, 1),
+                             outcome))
+      << client.last_error_message();
+  EXPECT_EQ(outcome.predicted.size(), info.n_rem);
+  const core::RobustPredictor repaired = core::make_robust_path_predictor(
+      a, session->experiment->model().mu_paths(), reps, {reps.front()}, ropt);
+  ASSERT_EQ(repaired.status.promoted_paths.size(), 1u);
+  EXPECT_EQ(repaired.status.promoted_paths.front(), ropt.backup_order.front());
 }
 
 TEST_F(ServerFixture, BatchedPredictsBitIdenticalToSerialAtAnyThreadCount) {

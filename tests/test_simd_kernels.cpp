@@ -122,12 +122,12 @@ TEST(SimdDispatch, UnknownTierKeepsActiveTierAndCounts) {
 }
 
 TEST(SimdDispatch, UnavailableTierKeepsActiveTierAndCounts) {
-  // Whichever of avx2/neon the host lacks; skip on the (exotic) host that
-  // can run both.
+  // Whichever of avx2/avx512 the host lacks; skip on a host that runs
+  // every tier.
   const char* missing = nullptr;
   if (!simd::tier_available(simd::Tier::kAvx2)) missing = "avx2";
-  else if (!simd::tier_available(simd::Tier::kNeon)) missing = "neon";
-  if (missing == nullptr) GTEST_SKIP() << "host runs every probed tier";
+  else if (!simd::tier_available(simd::Tier::kAvx512)) missing = "avx512";
+  if (missing == nullptr) GTEST_SKIP() << "host runs every tier";
   TierGuard guard;
   util::telemetry::set_enabled(true);
   const simd::Tier best = simd::best_available_tier();
@@ -169,9 +169,7 @@ TEST(SimdKernels, PrimitivesMatchScalarWithinBound) {
   for (simd::Tier t : simd::available_tiers()) {
     if (t == simd::Tier::kScalar) continue;
     const simd::KernelOps* ops =
-        t == simd::Tier::kAvx2    ? simd::avx2_ops()
-        : t == simd::Tier::kAvx512 ? simd::avx512_ops()
-                                   : simd::neon_ops();
+        t == simd::Tier::kAvx2 ? simd::avx2_ops() : simd::avx512_ops();
     ASSERT_NE(ops, nullptr) << simd::tier_name(t);
     // dot
     const double dref = sc->dot(n, x.row(0).data(), x.row(1).data());

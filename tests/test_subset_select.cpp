@@ -382,6 +382,37 @@ TEST(SubsetSelect, SmallSideRouteMatchesSvdOracle) {
   }
 }
 
+TEST(SubsetSelect, AscendingProbesMatchSvdOracle) {
+  // Probing r = 1, 2, ... grows the lazy tall route's sketch step by step.
+  // Each probe must be served from vectors that a fresh sketch holds with
+  // its full oversampling margin, never from an earlier sketch's last and
+  // least accurate columns, so every r gives the oracle's pivots.
+  const linalg::Matrix a = with_spectrum(600, 530, geometric(40, 1e-3), 43);
+  const SubsetSelector ref = oracle(a);
+  const SubsetSelector sel = via_gram(a);
+  ASSERT_EQ(sel.rank(), ref.rank());
+  for (std::size_t r = 1; r <= ref.rank(); ++r) {
+    EXPECT_EQ(canonical_rows(a, sel.select(r)),
+              canonical_rows(a, ref.select(r)))
+        << "r = " << r;
+  }
+}
+
+TEST(SubsetSelect, GramRankMatchesSelectorRank) {
+  // gram_rank() is the lazy route's rank rule on the smaller Gram side; on
+  // these well-separated spectra it also matches the dense routes and the
+  // SVD oracle.
+  for (const linalg::Matrix& a :
+       {with_spectrum(600, 530, geometric(40, 1e-3), 43),
+        with_spectrum(520, 600, geometric(30, 1e-3), 45),
+        with_spectrum(120, 40, geometric(12, 1e-2), 41),
+        with_spectrum(30, 50, geometric(10, 1e-2), 44)}) {
+    SCOPED_TRACE(a.shape_string());
+    EXPECT_EQ(gram_rank(a), via_gram(a).rank());
+    EXPECT_EQ(gram_rank(a), oracle(a).rank());
+  }
+}
+
 TEST(SubsetSelect, SmallSideRouteMatchesSvdOracleOnS1196) {
   ExperimentConfig cfg = default_experiment_config("s1196");
   cfg.max_target_paths = 400;
