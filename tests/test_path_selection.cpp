@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/benchmarks.h"
 #include "linalg/gemm.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -271,6 +272,43 @@ TEST(PathSelection, GreedySweepBitIdenticalAcrossThreadCounts) {
   util::set_threads(saved_threads);
   EXPECT_EQ(r1.representatives, r4.representatives);
   EXPECT_EQ(r1.eps_r, r4.eps_r);
+}
+
+// The smallest index whose row of A equals row `i` bit for bit: exact
+// duplicate rows (paths with the same sensitivities) share one canonical
+// index, so a tie flip between them leaves the canonical set unchanged.
+int canonical_row(const linalg::Matrix& a, int i) {
+  const auto row = a.row(static_cast<std::size_t>(i));
+  for (int j = 0; j < i; ++j) {
+    const auto other = a.row(static_cast<std::size_t>(j));
+    if (std::equal(row.begin(), row.end(), other.begin())) return j;
+  }
+  return i;
+}
+
+TEST(PathSelection, PinnedWideLazyRouteOnS9234) {
+  // A 600 x 1619 pool: W = A A^T has order 600 > 512, so selection takes
+  // the lazy wide route (pivoted-Cholesky rank, randomized eigen-capture,
+  // QRCP per bisection probe).  The representatives are pinned by row
+  // content, not index: a pivot tie between exact duplicate rows may flip
+  // with the last bits of U_r, while any other change is a real change of
+  // the selection.
+  ExperimentConfig cfg;
+  cfg.benchmark = "s9234";
+  cfg.max_target_paths = 600;
+  const Experiment e(cfg);
+  const linalg::Matrix& a = e.model().a();
+  ASSERT_EQ(a.rows(), 600u);
+  ASSERT_LT(a.rows(), a.cols());
+  const auto r =
+      select_representative_paths(a, e.t_cons_ps(), PathSelectionOptions{});
+  EXPECT_EQ(r.exact_rank, 267u);
+  EXPECT_EQ(r.representatives.size(), 8u);
+  EXPECT_NEAR(r.eps_r, 0.04588416646846756, 1e-12);
+  std::vector<int> canon;
+  for (int rep : r.representatives) canon.push_back(canonical_row(a, rep));
+  std::sort(canon.begin(), canon.end());
+  EXPECT_EQ(canon, (std::vector<int>{45, 48, 69, 195, 242, 326, 383, 585}));
 }
 
 }  // namespace
