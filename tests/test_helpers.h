@@ -1,10 +1,13 @@
 // Shared fixtures for the test suite.
 #pragma once
 
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "circuit/netlist.h"
+#include "util/thread_pool.h"
 
 namespace repro::test {
 
@@ -77,6 +80,25 @@ inline circuit::Netlist diamond_netlist(int width) {
   const auto o = nl.add_gate("out", GateType::kOutput);
   nl.connect(join, o);
   return nl;
+}
+
+// True when a and b hold the same doubles bit for bit (unlike ==, this
+// tells -0.0 from 0.0).
+inline bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Returns fn() computed with the shared pool at `threads` threads, and
+// restores the previous thread count.
+template <typename Fn>
+auto with_threads(std::size_t threads, const Fn& fn) {
+  const std::size_t saved = util::thread_count();
+  util::set_threads(threads);
+  auto out = fn();
+  util::set_threads(saved);
+  return out;
 }
 
 }  // namespace repro::test

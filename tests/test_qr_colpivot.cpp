@@ -7,6 +7,7 @@
 
 #include "linalg/gemm.h"
 #include "linalg/qr.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace repro::linalg {
@@ -113,6 +114,58 @@ TEST(Qrcp, SelectedColumnsSpanRowSpace) {
   EXPECT_LT(max_abs_diff(multiply(a_sel, x), a), 1e-9);
   (void)g;
   (void)cross;
+}
+
+TEST(Qrcp, DuplicateColumnsPivotLowerIndexFirst) {
+  // Columns 1 and 4 are identical and, after column 0, the largest: their
+  // updated norms stay bit-equal, and the tie goes to the lower index.
+  const Matrix a{{9.0, 3.0, 0.5, 0.1, 3.0},
+                 {0.0, 1.0, 0.2, 0.3, 1.0},
+                 {1.0, 2.0, 0.1, 0.2, 2.0},
+                 {0.0, 1.0, 0.4, 0.1, 1.0}};
+  const QrcpResult f = qr_colpivot(a);
+  EXPECT_EQ(f.perm[0], 0);
+  EXPECT_EQ(f.perm[1], 1);
+}
+
+TEST(Qrcp, DuplicateColumnsTieSurvivesParallelUpdates) {
+  // A selection-shaped input (few rows, many columns): the twins 650 and
+  // 899 sit in different tiles of the pooled update, yet their norms stay
+  // bit-equal, so the lower index pivots first at any thread count.
+  Matrix a = random_matrix(80, 900, 12);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    a(i, 650) = 10.0 * a(i, 7);
+    a(i, 899) = a(i, 650);
+  }
+  const QrcpResult f = test::with_threads(4, [&] { return qr_colpivot(a); });
+  const auto first = std::find(f.perm.begin(), f.perm.end(), 650);
+  const auto second = std::find(f.perm.begin(), f.perm.end(), 899);
+  EXPECT_EQ(f.perm[0], 650);
+  EXPECT_LT(first, second);
+}
+
+TEST(Qrcp, BitIdenticalAcrossThreadCounts) {
+  // Wide (the U_r^T shape of Algorithm 2, with an early stop) and tall
+  // inputs, each with a zero column and duplicated columns.
+  struct Case {
+    std::size_t m, n, steps;
+  };
+  for (const Case c : {Case{260, 701, 230}, Case{600, 245, 0}}) {
+    Matrix a = random_matrix(c.m, c.n, 13 + c.m);
+    for (std::size_t i = 0; i < c.m; ++i) {
+      a(i, 3) = 0.0;
+      a(i, 11) = a(i, 2);
+      a(i, c.n - 1) = a(i, 2);
+    }
+    const QrcpResult f1 =
+        test::with_threads(1, [&] { return qr_colpivot(a, c.steps); });
+    const QrcpResult f4 =
+        test::with_threads(4, [&] { return qr_colpivot(a, c.steps); });
+    EXPECT_EQ(f1.perm, f4.perm);
+    EXPECT_TRUE(test::same_bits(f1.qr.data(), f4.qr.data()));
+    EXPECT_TRUE(test::same_bits(f1.tau, f4.tau));
+    EXPECT_TRUE(test::same_bits(f1.rdiag_abs, f4.rdiag_abs));
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace repro::linalg {
@@ -105,6 +106,20 @@ TEST(RandomizedEig, DeterministicForSeed) {
   for (std::size_t i = 0; i < a.values.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.values[i], b.values[i]);
   }
+}
+
+TEST(RandomizedEig, BitIdenticalAcrossThreadCounts) {
+  // Order 600 with a duplicated row/column pair: the range-finder QRs run
+  // on the pool, and the eigenpairs must not depend on the thread count.
+  Matrix b = random_matrix(600, 200, 10);
+  for (std::size_t j = 0; j < b.cols(); ++j) b(599, j) = b(1, j);
+  const Matrix w = gram(b);
+  const RandomizedEigResult r1 =
+      test::with_threads(1, [&] { return randomized_eig_psd(w); });
+  const RandomizedEigResult r4 =
+      test::with_threads(4, [&] { return randomized_eig_psd(w); });
+  EXPECT_TRUE(test::same_bits(r1.values, r4.values));
+  EXPECT_TRUE(test::same_bits(r1.vectors.data(), r4.vectors.data()));
 }
 
 TEST(PivotedCholesky, RevealsRank) {

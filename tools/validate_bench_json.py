@@ -37,7 +37,11 @@ REQUIRED_METRICS = {
                 "syrk_gflops", "syrk_peak_fraction",
                 "trsm_gflops", "trsm_peak_fraction",
                 "gemm_speedup_vs_scalar", "syrk_speedup_vs_scalar",
-                "trsm_speedup_vs_scalar"),
+                "trsm_speedup_vs_scalar",
+                # Column-parallel factorizations: required, but no floor in
+                # SPEEDUP_FLOORS; their rates scale with the runner's core
+                # count, not its SIMD tier.
+                "qr_gflops", "qrcp_gflops", "pivoted_chol_gflops"),
     "streaming": ("streaming_e1", "batch_e1", "e1_ratio", "e1_ratio_budget",
                   "guardband_monotone", "clean_false_alarms",
                   "drift_detected", "drift_latency_dies",
