@@ -1,12 +1,14 @@
 // Kernel microbenchmarks (google-benchmark): the numerical workhorses behind
-// the selection algorithms — GEMM/Gram, SVD, pivoted QR, symmetric eigen,
+// the selection algorithms — GEMM/Gram, pivoted QR, symmetric eigen,
 // Cholesky-based error evaluation, and the l1-ball projection — plus the
 // execution-layer comparisons (pooled vs spawn-per-call GEMM, pooled
 // Monte-Carlo evaluation across thread counts).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "bench_common.h"
 #include "circuit/generator.h"
@@ -22,11 +24,11 @@
 #include "linalg/qr.h"
 #include "linalg/qr_colpivot.h"
 #include "linalg/simd/dispatch.h"
-#include "linalg/svd.h"
 #include "linalg/trsm.h"
 #include "timing/segments.h"
 #include "util/cpu.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 #include "variation/variation_model.h"
 
@@ -113,24 +115,6 @@ void BM_Gram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gram)->Arg(128)->Arg(256);
-
-void BM_SvdValuesOnly(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_matrix(2 * n, n, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::svd(a, /*want_uv=*/false));
-  }
-}
-BENCHMARK(BM_SvdValuesOnly)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_SvdFull(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_matrix(2 * n, n, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::svd(a));
-  }
-}
-BENCHMARK(BM_SvdFull)->Arg(64)->Arg(128);
 
 void BM_QrColPivot(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -262,6 +246,12 @@ BENCHMARK(BM_MonteCarloEvaluate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // that tier, so no scalar leg is timed and the speedups degenerate to 1.0;
 // the record says so via scalar_timed = 0 (and forced_tier), which the
 // validator uses to exempt the floor check.
+//
+// The tier legs interleave: every repetition times each tier once, back to
+// back, so a burst of host load falls on the legs of one repetition instead
+// of on one tier's whole block.  Each speedup is the median over
+// repetitions of the paired scalar / dispatched ratio; each GFLOP/s figure
+// is the tier's best repetition.
 // ---------------------------------------------------------------------------
 
 struct KernelTimes {
@@ -270,30 +260,44 @@ struct KernelTimes {
   double trsm_s = 0.0;
 };
 
-// Best-of-reps wall time per kernel under the currently active tier.
-KernelTimes time_kernels(std::size_t n, const linalg::Matrix& a,
-                         const linalg::Matrix& b, const linalg::Matrix& l,
-                         const linalg::Matrix& rhs) {
-  KernelTimes best;
-  constexpr int kReps = 3;
-  for (int rep = 0; rep < kReps; ++rep) {
-    util::Stopwatch sw;
-    benchmark::DoNotOptimize(linalg::multiply(a, b));
-    const double tg = sw.seconds();
-    sw.reset();
-    benchmark::DoNotOptimize(linalg::gram(a));
-    const double ts = sw.seconds();
-    sw.reset();
-    linalg::Matrix x = rhs;
-    linalg::trsm_lower_inplace(l, x);
-    benchmark::DoNotOptimize(x.row(0).data());
-    const double tt = sw.seconds();
-    if (rep == 0 || tg < best.gemm_s) best.gemm_s = tg;
-    if (rep == 0 || ts < best.syrk_s) best.syrk_s = ts;
-    if (rep == 0 || tt < best.trsm_s) best.trsm_s = tt;
+// One wall-clock timing of each kernel under the currently active tier.
+KernelTimes time_kernels(const linalg::Matrix& a, const linalg::Matrix& b,
+                         const linalg::Matrix& l, const linalg::Matrix& rhs) {
+  KernelTimes t;
+  util::Stopwatch sw;
+  benchmark::DoNotOptimize(linalg::multiply(a, b));
+  t.gemm_s = sw.seconds();
+  sw.reset();
+  benchmark::DoNotOptimize(linalg::gram(a));
+  t.syrk_s = sw.seconds();
+  sw.reset();
+  linalg::Matrix x = rhs;
+  linalg::trsm_lower_inplace(l, x);
+  benchmark::DoNotOptimize(x.row(0).data());
+  t.trsm_s = sw.seconds();
+  return t;
+}
+
+// Per-kernel minimum over repetitions.
+KernelTimes best_of(const std::vector<KernelTimes>& reps) {
+  KernelTimes best = reps.front();
+  for (const KernelTimes& t : reps) {
+    best.gemm_s = std::min(best.gemm_s, t.gemm_s);
+    best.syrk_s = std::min(best.syrk_s, t.syrk_s);
+    best.trsm_s = std::min(best.trsm_s, t.trsm_s);
   }
-  (void)n;
   return best;
+}
+
+// Median over repetitions of the paired ratio base / other for one kernel.
+double median_ratio(const std::vector<KernelTimes>& base,
+                    const std::vector<KernelTimes>& other,
+                    double KernelTimes::*kernel) {
+  std::vector<double> ratios;
+  for (std::size_t rep = 0; rep < base.size(); ++rep) {
+    ratios.push_back(base[rep].*kernel / other[rep].*kernel);
+  }
+  return util::quantile(std::move(ratios), 0.5);
 }
 
 void run_tier_sweep(repro::bench::Harness& h) {
@@ -318,19 +322,29 @@ void run_tier_sweep(repro::bench::Harness& h) {
   const simd::Tier dispatched =
       forced.empty() ? simd::best_available_tier() : simd::active_tier();
   std::vector<simd::Tier> tiers;
-  if (forced.empty()) {
-    tiers = simd::available_tiers();
-  } else {
-    tiers = {dispatched};
+  for (simd::Tier t : forced.empty() ? simd::available_tiers()
+                                     : std::vector<simd::Tier>{dispatched}) {
+    if (simd::set_tier(simd::tier_name(t))) tiers.push_back(t);
   }
 
+  constexpr int kReps = 5;
+  std::vector<std::vector<KernelTimes>> times(tiers.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      simd::set_tier(simd::tier_name(tiers[i]));
+      times[i].push_back(time_kernels(a, b, f.l, rhs));
+    }
+  }
+  simd::set_tier(simd::tier_name(dispatched));
+
   std::string tier_list;
-  double scalar_gemm_s = 0.0, scalar_syrk_s = 0.0, scalar_trsm_s = 0.0;
-  KernelTimes dispatched_times;
-  for (simd::Tier t : tiers) {
+  const std::vector<KernelTimes>* scalar_times = nullptr;
+  const std::vector<KernelTimes>* dispatched_times = nullptr;
+  KernelTimes best;  // the dispatched tier's
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    const simd::Tier t = tiers[i];
     const char* name = simd::tier_name(t);
-    if (!simd::set_tier(name)) continue;
-    const KernelTimes kt = time_kernels(n, a, b, f.l, rhs);
+    const KernelTimes kt = best_of(times[i]);
     if (!tier_list.empty()) tier_list += ',';
     tier_list += name;
     const double peak = simd::theoretical_peak_gflops(t, threads);
@@ -346,44 +360,44 @@ void run_tier_sweep(repro::bench::Harness& h) {
              trsm_flops / kt.trsm_s * 1e-9);
     h.metric(std::string("trsm_peak_fraction_") + name,
              trsm_flops / kt.trsm_s * 1e-9 / peak);
-    if (t == simd::Tier::kScalar) {
-      scalar_gemm_s = kt.gemm_s;
-      scalar_syrk_s = kt.syrk_s;
-      scalar_trsm_s = kt.trsm_s;
+    if (t == simd::Tier::kScalar) scalar_times = &times[i];
+    if (t == dispatched) {
+      dispatched_times = &times[i];
+      best = kt;
     }
-    if (t == dispatched) dispatched_times = kt;
   }
-  simd::set_tier(simd::tier_name(dispatched));
 
   const double dispatched_peak =
       simd::theoretical_peak_gflops(dispatched, threads);
   // Whether a scalar leg was actually timed decides if the speedup ratios
   // mean anything: a forced non-scalar tier never times scalar and reports
   // 1.0, which must not trip the validator's floor.
-  const bool have_scalar = scalar_gemm_s > 0.0;
+  const bool have_scalar = scalar_times != nullptr;
   h.metric("kernel_n", n);
   h.metric("dispatched_tier", simd::tier_name(dispatched));
   h.metric("forced_tier", forced.empty() ? "none" : forced);
   h.metric("scalar_timed", have_scalar);
   h.metric("tiers_timed", tier_list);
   h.metric("nominal_cpu_ghz", util::nominal_cpu_ghz());
-  h.metric("gemm_gflops", gemm_flops / dispatched_times.gemm_s * 1e-9);
+  h.metric("gemm_gflops", gemm_flops / best.gemm_s * 1e-9);
   h.metric("gemm_peak_fraction",
-           gemm_flops / dispatched_times.gemm_s * 1e-9 / dispatched_peak);
-  h.metric("syrk_gflops", syrk_flops / dispatched_times.syrk_s * 1e-9);
+           gemm_flops / best.gemm_s * 1e-9 / dispatched_peak);
+  h.metric("syrk_gflops", syrk_flops / best.syrk_s * 1e-9);
   h.metric("syrk_peak_fraction",
-           syrk_flops / dispatched_times.syrk_s * 1e-9 / dispatched_peak);
-  h.metric("trsm_gflops", trsm_flops / dispatched_times.trsm_s * 1e-9);
+           syrk_flops / best.syrk_s * 1e-9 / dispatched_peak);
+  h.metric("trsm_gflops", trsm_flops / best.trsm_s * 1e-9);
   h.metric("trsm_peak_fraction",
-           trsm_flops / dispatched_times.trsm_s * 1e-9 / dispatched_peak);
+           trsm_flops / best.trsm_s * 1e-9 / dispatched_peak);
   // Speedup ratios cancel the clock estimate entirely; 1.0 when the sweep
   // had no scalar leg to compare against (forced non-scalar tier).
-  h.metric("gemm_speedup_vs_scalar",
-           have_scalar ? scalar_gemm_s / dispatched_times.gemm_s : 1.0);
-  h.metric("syrk_speedup_vs_scalar",
-           have_scalar ? scalar_syrk_s / dispatched_times.syrk_s : 1.0);
-  h.metric("trsm_speedup_vs_scalar",
-           have_scalar ? scalar_trsm_s / dispatched_times.trsm_s : 1.0);
+  const auto speedup = [&](double KernelTimes::*kernel) {
+    return have_scalar
+               ? median_ratio(*scalar_times, *dispatched_times, kernel)
+               : 1.0;
+  };
+  h.metric("gemm_speedup_vs_scalar", speedup(&KernelTimes::gemm_s));
+  h.metric("syrk_speedup_vs_scalar", speedup(&KernelTimes::syrk_s));
+  h.metric("trsm_speedup_vs_scalar", speedup(&KernelTimes::trsm_s));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 //
 // Given the singular values of the path-sensitivity matrix A, the effective
 // rank at threshold eta is the smallest k whose leading singular values
-// capture (1 - eta) of the total energy E = sum_i lambda_i.  It lower-bounds
+// capture (1 - eta) of the total energy E = sum_i lambda_i, where lambda_i
+// is the i-th singular value itself, not its square.  A sqrt(noise) tail of
+// tiny nonzero values therefore adds energy: pass a spectrum whose values
+// below the rank threshold are exactly 0 (core::gram_singular_values,
+// SubsetSelector::singular_values).  It lower-bounds
 // how many representative paths are needed for a given prediction accuracy,
 // and is the quantity Figure 2 visualizes.
 #pragma once
@@ -13,8 +17,8 @@
 
 namespace repro::core {
 
-// `singular_values` must be sorted non-increasing (as produced by
-// linalg::svd).  eta in [0, 1); eta = 0 returns the count of nonzero values.
+// `singular_values` must be sorted non-increasing.  eta in [0, 1); eta = 0
+// returns the count of nonzero values.
 std::size_t effective_rank(const linalg::Vector& singular_values, double eta);
 
 // Normalized singular values lambda_i / sum(lambda), the series plotted in

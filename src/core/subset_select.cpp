@@ -33,6 +33,31 @@ linalg::PivotedChol pivoted_gram(const linalg::Matrix& side, std::size_t rows,
   return linalg::pivoted_cholesky(side, tol * tol);
 }
 
+// Singular values of A from the ascending eigenvalues of one of its Gram
+// sides: s_k = sqrt(max(lambda, 0)) in descending order, with every value at
+// or below tau = gram_rank_rel_tol * s_0 set to exactly 0 (below tau a value
+// is Gram rounding noise, not a direction of A).  The count of nonzero
+// values is rank(A).
+linalg::Vector singular_values_from_eigen(const linalg::Vector& ascending,
+                                          std::size_t rows, std::size_t cols) {
+  const std::size_t order = ascending.size();
+  linalg::Vector s(order);
+  for (std::size_t k = 0; k < order; ++k) {
+    s[k] = std::sqrt(std::max(ascending[order - 1 - k], 0.0));
+  }
+  if (order == 0) return s;
+  const double tau = gram_rank_rel_tol(rows, cols) * s[0];
+  for (double& v : s) {
+    if (v <= tau) v = 0.0;
+  }
+  return s;
+}
+
+// The smaller Gram side of A: C = A^T A when A is tall, W = A A^T otherwise.
+linalg::Matrix smaller_gram_side(const linalg::Matrix& a) {
+  return a.rows() > a.cols() ? linalg::gram_t(a) : linalg::gram(a);
+}
+
 // The k leading eigenvectors of an eigen_sym result (ascending), as columns
 // in descending eigenvalue order.
 linalg::Matrix leading_vectors(const linalg::Matrix& vectors, std::size_t k) {
@@ -60,15 +85,6 @@ linalg::Matrix lift_left(const linalg::Matrix& a, const linalg::Matrix& v,
 
 }  // namespace
 
-SubsetSelector::SubsetSelector(linalg::SvdResult svd, std::size_t rows,
-                               std::size_t cols)
-    : svd_(std::move(svd)), rows_(rows), cols_(cols) {
-  if (!svd_.converged) {
-    throw std::runtime_error("SubsetSelector: SVD did not converge");
-  }
-  rank_ = linalg::svd_rank(svd_, rows, cols);
-}
-
 SubsetSelector::SubsetSelector(const linalg::Matrix& a,
                                const linalg::Matrix& gram)
     : rows_(a.rows()), cols_(a.cols()) {
@@ -77,7 +93,6 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a,
   }
   const util::telemetry::Span span("core.select.factorize");
   util::telemetry::count("core.select.gram_route");
-  svd_.converged = true;
   const bool tall = rows_ > cols_;
   linalg::Matrix side = tall ? linalg::gram_t(a) : gram;
   const std::size_t order = side.rows();
@@ -100,15 +115,11 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a,
   if (!eig.converged) {
     throw std::runtime_error("SubsetSelector: eigendecomposition failed");
   }
-  // Eigenvalues come ascending; singular values must be non-increasing.
-  svd_.s.resize(order);
-  for (std::size_t k = 0; k < order; ++k) {
-    svd_.s[k] = std::sqrt(std::max(eig.values[order - 1 - k], 0.0));
-  }
-  rank_ =
-      linalg::svd_rank(svd_, rows_, cols_, gram_rank_rel_tol(rows_, cols_));
+  s_ = singular_values_from_eigen(eig.values, rows_, cols_);
+  rank_ = static_cast<std::size_t>(
+      std::count_if(s_.begin(), s_.end(), [](double v) { return v != 0.0; }));
   linalg::Matrix lead = leading_vectors(eig.vectors, rank_);
-  svd_.u = tall ? lift_left(a, lead, svd_.s) : std::move(lead);
+  u_ = tall ? lift_left(a, lead, s_) : std::move(lead);
 }
 
 void SubsetSelector::ensure_captured(std::size_t k) const {
@@ -118,20 +129,22 @@ void SubsetSelector::ensure_captured(std::size_t k) const {
   // A sketch's last `oversample` vectors are its least accurate, so k values
   // are usable only when k + oversample are held; the min stops a
   // full-order capture from recapturing.
-  if (svd_.s.size() >= std::min(order, k + opt.oversample)) return;
+  if (s_.size() >= std::min(order, k + opt.oversample)) return;
   const util::telemetry::Span span("core.select.eig_capture");
-  opt.initial_rank = std::min(order, std::max(k, 2 * svd_.s.size()));
+  opt.initial_rank = std::min(order, std::max(k, 2 * s_.size()));
   opt.adaptive = false;  // capture exactly what was asked (plus oversample)
   linalg::RandomizedEigResult eig = linalg::randomized_eig_psd(side_, opt);
-  svd_.s.resize(eig.values.size());
+  // Captured values beyond the pivoted-Cholesky rank are noise: zero them,
+  // as the dense route's tau cut does.
+  s_.resize(eig.values.size());
   for (std::size_t i = 0; i < eig.values.size(); ++i) {
-    svd_.s[i] = std::sqrt(eig.values[i]);
+    s_[i] = i < rank_ ? std::sqrt(eig.values[i]) : 0.0;
   }
   if (a_.empty()) {
-    svd_.u = std::move(eig.vectors);
+    u_ = std::move(eig.vectors);
   } else {
     const std::size_t lift = std::min(eig.vectors.cols(), rank_);
-    svd_.u = lift_left(a_, eig.vectors.left_cols(lift), svd_.s);
+    u_ = lift_left(a_, eig.vectors.left_cols(lift), s_);
   }
 }
 
@@ -139,7 +152,7 @@ const linalg::Vector& SubsetSelector::singular_values() const {
   // The spectrum beyond rank() is numerically zero, so capturing `rank_`
   // values yields the complete energy profile.
   ensure_captured(rank_);
-  return svd_.s;
+  return s_;
 }
 
 std::vector<int> SubsetSelector::select(std::size_t r) const {
@@ -155,7 +168,7 @@ std::vector<int> SubsetSelector::select(std::size_t r) const {
   // U_r^T is r x n; column pivoting needs only the first r pivot steps.
   linalg::Matrix urt(r, rows_);
   for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < rows_; ++j) urt(i, j) = svd_.u(j, i);
+    for (std::size_t j = 0; j < rows_; ++j) urt(i, j) = u_(j, i);
   }
   const linalg::QrcpResult f = linalg::qr_colpivot(std::move(urt), r);
   std::vector<int> rows(f.perm.begin(),
@@ -192,9 +205,19 @@ const std::vector<int>& SubsetSelector::greedy_order(
 // precondition to state.
 // repro-lint: allow(contracts)
 std::size_t gram_rank(const linalg::Matrix& a) {
-  const linalg::Matrix side =
-      a.rows() > a.cols() ? linalg::gram_t(a) : linalg::gram(a);
-  return pivoted_gram(side, a.rows(), a.cols()).rank;
+  return pivoted_gram(smaller_gram_side(a), a.rows(), a.cols()).rank;
+}
+
+// Every shape is valid input (an empty A has no singular values).
+// repro-lint: allow(contracts)
+linalg::Vector gram_singular_values(const linalg::Matrix& a) {
+  const util::telemetry::Span span("core.gram_singular_values");
+  const linalg::EigenSymResult eig =
+      linalg::eigen_sym(smaller_gram_side(a), /*want_vectors=*/false);
+  if (!eig.converged) {
+    throw std::runtime_error("gram_singular_values: eigendecomposition failed");
+  }
+  return singular_values_from_eigen(eig.values, a.rows(), a.cols());
 }
 
 }  // namespace repro::core

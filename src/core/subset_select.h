@@ -16,22 +16,22 @@
 //   * Tall A (rows > cols):  C = A^T A (m x m); V = eigenvectors of C and
 //     U_r = A V_r diag(s_r)^-1.
 //
-// Either way s_i = sqrt(lambda_i) and rank(A) counts the s_i above
-// tau = 4 sqrt(max(n, m) eps) s_0.  A Gram side of order <= 512 is
-// eigendecomposed densely; above that, rank(A) comes from a pivoted
-// Cholesky of the Gram side in O(order rank^2) and the leading eigenpairs
-// are captured lazily by a randomized eigensolver sized to the largest r
-// actually requested plus its oversampling margin — never an O(order^3)
-// dense eigendecomposition.
+// Either way s_i = sqrt(lambda_i), and rank(A) counts the s_i above
+// tau = 4 sqrt(max(n, m) eps) s_0; the s_i at or below tau are set to 0.
+// A Gram side of order <= 512 is eigendecomposed densely; above that,
+// rank(A) comes from a pivoted Cholesky of the Gram side in
+// O(order rank^2) and the leading eigenpairs are captured lazily by a
+// randomized eigensolver sized to the largest r actually requested plus
+// its oversampling margin — never an O(order^3) dense eigendecomposition.
 //
 // Conditioning envelope.  Forming the Gram squares the condition number:
 // eigenvalue noise of order max(n, m) eps s_0^2 turns into spurious
 // singular values of order sqrt(max(n, m) eps) s_0, so tau is the smallest
 // singular value the Gram route resolves.  When every nonzero singular
-// value of A lies above tau, rank() equals the dense-SVD rank
-// (linalg::svd_rank with its default max(n, m) eps s_0 threshold).
-// Directions below tau are dropped, never invented: rank() never exceeds
-// the dense-SVD rank.
+// value of A lies above tau, rank() equals the rank of a dense SVD that
+// counts the singular values above max(n, m) eps s_0 (the test suite's
+// Golub-Reinsch oracle).  Directions below tau are dropped, never
+// invented: rank() never exceeds that dense-SVD rank.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "linalg/matrix.h"
-#include "linalg/svd.h"
 
 namespace repro::core {
 
@@ -48,10 +47,6 @@ class SubsetSelector {
   // Gram route.  `gram` is W = A A^T (n x n); it is factored directly when
   // A is wide, and C = A^T A is formed and factored when A is tall.
   SubsetSelector(const linalg::Matrix& a, const linalg::Matrix& gram);
-
-  // Paper-reference oracle: selection from a dense SVD of A that the caller
-  // computed (tests check the Gram route against it).
-  SubsetSelector(linalg::SvdResult svd, std::size_t rows, std::size_t cols);
 
   // Numerical rank of A.
   std::size_t rank() const { return rank_; }
@@ -83,7 +78,10 @@ class SubsetSelector {
  private:
   void ensure_captured(std::size_t k) const;
 
-  mutable linalg::SvdResult svd_;  // captured leading part on the lazy route
+  // Singular values and the leading left singular vectors U (columns);
+  // on the lazy route, the part captured so far.
+  mutable linalg::Vector s_;
+  mutable linalg::Matrix u_;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t rank_ = 0;
@@ -102,5 +100,13 @@ class SubsetSelector {
 // Only that side is formed, so a tall pool never pays for an n x n block.
 // It equals SubsetSelector::rank() whenever that side has order > 512.
 std::size_t gram_rank(const linalg::Matrix& a);
+
+// All min(n, m) singular values of A from a dense eigendecomposition of the
+// smaller Gram side, non-increasing, with values at or below tau set to 0
+// exactly as the dense selector route does (so the count of nonzero values
+// is rank(A)).  This is the spectrum Figure 2 plots: effective_rank sums
+// singular values, not their squares, so an uncut sqrt(noise) tail would
+// inflate the energy of a rank-deficient A.
+linalg::Vector gram_singular_values(const linalg::Matrix& a);
 
 }  // namespace repro::core

@@ -162,9 +162,6 @@ std::size_t gemm_threads_used(std::size_t flops) {
 
 }  // namespace
 
-void set_gemm_threads(std::size_t n) { util::set_threads(n); }
-std::size_t gemm_threads() { return util::thread_count(); }
-
 Matrix multiply(const Matrix& a, const Matrix& b) {
   REPRO_CHECK_DIM(a.cols(), b.rows(), "multiply: inner dimensions");
   if (a.cols() != b.rows()) {

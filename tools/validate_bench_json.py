@@ -50,6 +50,8 @@ REQUIRED_METRICS = {
                "batched_speedup_vs_serial", "batch_mean_size",
                "bit_identical", "cache_hit_zero_refactor"),
     "table1_path_selection": ("max_e1",),
+    "fig2_singular_values": ("rank_base", "rank_random_x3",
+                             "eff_rank_5_base", "eff_rank_5_random_x3"),
     "ablation_clustering": ("all_tolerance_met", "max_sharded_e1"),
     "shard_scale": ("n_paths", "shards", "levels", "eps_r", "tolerance_met",
                     "repair_promotions", "peak_panel_bytes",
@@ -64,11 +66,14 @@ REQUIRED_METRICS = {
 # leg and reports speedup 1.0 by construction) AND the dispatched tier is a
 # SIMD tier — scalar-vs-scalar is identically 1.0.  Records predating
 # scalar_timed fall back to the dispatched_tier test alone.
-# Records of benches whose selections must never run a dense SVD: every
-# SubsetSelector factors the smaller Gram side of A, so a `linalg.svd` span
-# or a non-zero `core.select.svd_route` counter in one of them means a
-# selection path regressed to the Golub-Reinsch route.
-SVD_FREE_BENCHES = ("table1_path_selection", "server")
+# No bench record may show a dense SVD: SubsetSelector and Figure 2 work on
+# the smaller Gram side of A and the library holds no SVD at all (the
+# Golub-Reinsch oracle lives in the test suite), so a `linalg.svd` span or a
+# non-zero `core.select.svd_route` counter in any record means an SVD crept
+# back into a bench binary.
+# Figure 2 on s1423 at default scale (EXPERIMENTS.md claims 3-4): the 5 %
+# effective rank of the base configuration and of the 3x random scaling.
+FIG2_DEFAULT_EFF_RANK_5 = {"eff_rank_5_base": 30, "eff_rank_5_random_x3": 85}
 # The paper's tolerance: the Monte-Carlo e1 of every Table 1 row and of
 # every Ablation C sharded selection must stay below it.
 PAPER_EPSILON = 0.05
@@ -241,6 +246,27 @@ def validate(path):
             raise ValueError(
                 f"table1 regression: max_e1 = {max_e1:.4g} not below "
                 f"eps = {PAPER_EPSILON}")
+    if rec["bench"] == "fig2_singular_values":
+        # Scaling the random sensitivities cannot change rank(A), and it
+        # must flatten the decay (Figure 2(b)); at default scale the
+        # effective ranks are the ones EXPERIMENTS.md reports.
+        met = rec["metrics"]
+        if int(met["rank_base"]) != int(met["rank_random_x3"]):
+            raise ValueError(
+                f"fig2 regression: rank_base = {met['rank_base']} but "
+                f"rank_random_x3 = {met['rank_random_x3']} (scaling the "
+                f"random columns cannot change rank(A))")
+        if not int(met["eff_rank_5_random_x3"]) > int(met["eff_rank_5_base"]):
+            raise ValueError(
+                f"fig2 regression: eff_rank_5_random_x3 = "
+                f"{met['eff_rank_5_random_x3']} not above eff_rank_5_base = "
+                f"{met['eff_rank_5_base']}")
+        if rec["scale_mode"] == "default":
+            for metric, want in FIG2_DEFAULT_EFF_RANK_5.items():
+                if int(met[metric]) != want:
+                    raise ValueError(f"fig2 regression: {metric} = "
+                                     f"{met[metric]} at default scale, "
+                                     f"expected {want}")
     if rec["bench"] == "ablation_clustering":
         # Ablation C runs the sharded pipeline at several shard counts: every
         # run must meet the global tolerance after its verify/repair pass,
@@ -257,18 +283,17 @@ def validate(path):
     for key in TELEMETRY_KEYS:
         if key not in rec["telemetry"]:
             raise ValueError(f"telemetry missing {key!r}")
-    if rec["bench"] in SVD_FREE_BENCHES:
-        svd_spans = [name for name in rec["telemetry"]["spans"]
-                     if name == "linalg.svd" or name.startswith("linalg.svd.")]
-        if svd_spans:
-            raise ValueError(f"dense SVD in a selection record: spans "
-                             f"{svd_spans} (selection must factor the "
-                             f"smaller Gram side)")
-        svd_route = int(rec["telemetry"]["counters"].get(
-            "core.select.svd_route", 0))
-        if svd_route != 0:
-            raise ValueError(f"core.select.svd_route = {svd_route}: a "
-                             f"selection took the dense SVD route")
+    svd_spans = [name for name in rec["telemetry"]["spans"]
+                 if name == "linalg.svd" or name.startswith("linalg.svd.")]
+    if svd_spans:
+        raise ValueError(f"dense SVD in a bench record: spans {svd_spans} "
+                         f"(selection and Figure 2 must factor the smaller "
+                         f"Gram side)")
+    svd_route = int(rec["telemetry"]["counters"].get(
+        "core.select.svd_route", 0))
+    if svd_route != 0:
+        raise ValueError(f"core.select.svd_route = {svd_route}: a "
+                         f"selection took the dense SVD route")
     # An enabled run whose snapshot is empty means the registry was reset or
     # never flushed — a broken record, not a quiet one.  Older records lack
     # the flag; fall back to the environment the validator runs under.
