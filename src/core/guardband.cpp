@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/gemm.h"
+#include "core/mc_sampler.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -30,45 +30,28 @@ GuardbandReport guardband_analysis(const variation::VariationModel& model,
   }
   if (n_rem > 0) rep.avg_guardband /= static_cast<double>(n_rem);
 
-  const std::size_t m = model.num_params();
-  const std::size_t n_meas = predictor.mu_meas.size();
-  util::Rng rng(options.seed);
-
-  linalg::Matrix meas_rows(n_meas, m);
-  {
-    std::size_t row = 0;
-    for (int i : predictor.measured_paths) {
-      meas_rows.set_row(row++, model.a().row(static_cast<std::size_t>(i)));
-    }
-    for (int s : predictor.measured_segments) {
-      meas_rows.set_row(row++, model.sigma().row(static_cast<std::size_t>(s)));
-    }
-  }
-  const linalg::Matrix a_rem_rows = model.a().select_rows(predictor.remaining);
+  const McSampler sampler(model, predictor);
+  sampler.count(options.samples);
 
   // Accumulate MC metrics inline (shares samples with the detection counts).
   rep.mc.eps_max.assign(n_rem, 0.0);
   rep.mc.eps_mean.assign(n_rem, 0.0);
 
-  std::size_t done = 0;
-  while (done < options.samples) {
-    const std::size_t c = std::min(options.chunk, options.samples - done);
-    // Sample-major fill keeps results chunk-size invariant (see
-    // monte_carlo.cpp).
-    linalg::Matrix x(m, c);
-    for (std::size_t j = 0; j < c; ++j) {
-      for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-    }
-    const linalg::Matrix d_true = linalg::multiply(a_rem_rows, x);
-    const linalg::Matrix y = linalg::multiply(meas_rows, x);
-    const linalg::Matrix pred = linalg::multiply(predictor.coef, y);
-
+  // One sequential generator, each sample's parameters drawn consecutively,
+  // so the samples do not depend on the block size.
+  util::Rng rng(options.seed);
+  McSampler::Block blk = sampler.block();
+  linalg::Vector d(McSampler::kBlock), pred(McSampler::kBlock);
+  for (std::size_t s = 0; s < options.samples; s += McSampler::kBlock) {
+    sampler.draw(rng, options.samples - s, blk);
     for (std::size_t i = 0; i < n_rem; ++i) {
+      sampler.remaining(i, blk, d);
+      predict_row(predictor.coef, i, blk, pred);
       const double mu_i = predictor.mu_rem[i];
       const double guard = 1.0 - per_path_eps[i];
-      for (std::size_t j = 0; j < c; ++j) {
-        const double t = mu_i + d_true(i, j);
-        const double p = mu_i + pred(i, j);
+      for (std::size_t j = 0; j < blk.width; ++j) {
+        const double t = mu_i + d[j];
+        const double p = mu_i + pred[j];
         const double rel = std::abs(p - t) / std::abs(t);
         rep.mc.eps_max[i] = std::max(rep.mc.eps_max[i], rel);
         rep.mc.eps_mean[i] += rel;
@@ -81,20 +64,9 @@ GuardbandReport guardband_analysis(const variation::VariationModel& model,
         if (flag && !fails) ++rep.false_alarms;
       }
     }
-    done += c;
   }
   rep.observations = options.samples * n_rem;
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    rep.mc.eps_mean[i] /= static_cast<double>(options.samples);
-    rep.mc.e1 += rep.mc.eps_max[i];
-    rep.mc.e2 += rep.mc.eps_mean[i];
-    rep.mc.worst_eps = std::max(rep.mc.worst_eps, rep.mc.eps_max[i]);
-  }
-  if (n_rem > 0) {
-    rep.mc.e1 /= static_cast<double>(n_rem);
-    rep.mc.e2 /= static_cast<double>(n_rem);
-  }
-  rep.mc.samples = options.samples;
+  finish_metrics(rep.mc, options.samples);
   return rep;
 }
 

@@ -5,7 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "linalg/gemm.h"
+#include "core/mc_sampler.h"
+#include "linalg/sparse_rows.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
@@ -15,73 +16,55 @@ namespace repro::core {
 McMetrics evaluate_predictor(const variation::VariationModel& model,
                              const LinearPredictor& predictor,
                              const McOptions& options) {
-  const std::size_t m = model.num_params();
   const std::size_t n_rem = predictor.remaining.size();
-  const std::size_t n_meas = predictor.mu_meas.size();
   if (n_rem == 0) throw std::invalid_argument("evaluate_predictor: no paths");
   const util::telemetry::Span span("core.mc.evaluate");
   util::telemetry::count("core.mc.samples", options.samples);
+  const McSampler sampler(model, predictor);
+  sampler.count(options.samples);
 
   McMetrics out;
   out.eps_max.assign(n_rem, 0.0);
   out.eps_mean.assign(n_rem, 0.0);
 
-  // Measurement sensitivity rows stacked once (paths first, then segments,
-  // matching LinearPredictor's mu_meas layout).
-  linalg::Matrix meas_rows(n_meas, m);
-  {
-    std::size_t row = 0;
-    for (int i : predictor.measured_paths) {
-      meas_rows.set_row(row++, model.a().row(static_cast<std::size_t>(i)));
-    }
-    for (int s : predictor.measured_segments) {
-      meas_rows.set_row(row++, model.sigma().row(static_cast<std::size_t>(s)));
-    }
-  }
-  const linalg::Matrix a_rem_rows = model.a().select_rows(predictor.remaining);
-
   // Batch-parallel sampling over fixed-size chunks.  Sample j draws its
   // normals from util::Rng::stream(seed, j) — a stream that depends only on
-  // the global sample index — so the sampled values are independent of both
-  // the chunk size (a GEMM batching detail) and the thread count.  Each
-  // chunk accumulates into its own slot and the partials are reduced in
-  // chunk order afterwards, which keeps the floating-point summation order
-  // fixed: eps_max / eps_mean / e1 / e2 are bit-identical for 1..N threads.
+  // the global sample index — and every A x and prediction element is summed
+  // in a fixed order (core/mc_sampler.h), so each sample's error is
+  // independent of both the chunk size and the thread count.  Each chunk
+  // accumulates into its own slot and the partials are reduced in chunk
+  // order afterwards, which keeps the floating-point summation order fixed:
+  // eps_max / eps_mean / e1 / e2 are bit-identical for 1..N threads.
   const std::size_t chunk = std::max<std::size_t>(1, options.chunk);
   const std::size_t nchunks = (options.samples + chunk - 1) / chunk;
   std::vector<std::vector<double>> part_max(nchunks), part_sum(nchunks);
   util::parallel_for(0, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
+    McSampler::Block blk = sampler.block();
+    linalg::Vector d(McSampler::kBlock), pred(McSampler::kBlock);
     for (std::size_t ci = cb; ci < ce; ++ci) {
       const std::size_t s0 = ci * chunk;
-      const std::size_t c = std::min(chunk, options.samples - s0);
-      // Parameter samples for this chunk: m x c, one RNG stream per sample.
-      linalg::Matrix x(m, c);
-      for (std::size_t j = 0; j < c; ++j) {
-        util::Rng rng = util::Rng::stream(options.seed, s0 + j);
-        for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-      }
-      // True delays of the remaining paths and measured quantities.
-      const linalg::Matrix d_true =
-          linalg::multiply(a_rem_rows, x);                        // n_rem x c
-      const linalg::Matrix y = linalg::multiply(meas_rows, x);    // n_meas x c
-      // Predictions: coef * y_centered; y here is already centered because
-      // the model means enter both sides additively (d = mu + A x), so
-      // pred_centered = coef * (A_meas x) and error = pred - true uses only
-      // centered values; the relative error denominator needs the full delay.
-      const linalg::Matrix pred = linalg::multiply(predictor.coef, y);
-
+      const std::size_t s1 = std::min(s0 + chunk, options.samples);
       std::vector<double>& pmax = part_max[ci];
       std::vector<double>& psum = part_sum[ci];
       pmax.assign(n_rem, 0.0);
       psum.assign(n_rem, 0.0);
-      for (std::size_t i = 0; i < n_rem; ++i) {
-        const double mu_i = predictor.mu_rem[i];
-        for (std::size_t j = 0; j < c; ++j) {
-          const double t = mu_i + d_true(i, j);
-          const double p = mu_i + pred(i, j);
-          const double rel = std::abs(p - t) / std::abs(t);
-          pmax[i] = std::max(pmax[i], rel);
-          psum[i] += rel;
+      for (std::size_t s = s0; s < s1; s += McSampler::kBlock) {
+        sampler.draw(options.seed, s, s1 - s, blk);
+        // Each remaining path's true delays and predictions are formed and
+        // scored together: the model means enter both sides additively
+        // (d = mu + A x), so only the relative error's denominator needs
+        // the full delay.
+        for (std::size_t i = 0; i < n_rem; ++i) {
+          sampler.remaining(i, blk, d);
+          predict_row(predictor.coef, i, blk, pred);
+          const double mu_i = predictor.mu_rem[i];
+          for (std::size_t j = 0; j < blk.width; ++j) {
+            const double t = mu_i + d[j];
+            const double p = mu_i + pred[j];
+            const double rel = std::abs(p - t) / std::abs(t);
+            pmax[i] = std::max(pmax[i], rel);
+            psum[i] += rel;
+          }
         }
       }
     }
@@ -92,23 +75,15 @@ McMetrics evaluate_predictor(const variation::VariationModel& model,
       out.eps_mean[i] += part_sum[ci][i];
     }
   }
-
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    out.eps_mean[i] /= static_cast<double>(options.samples);
-    out.e1 += out.eps_max[i];
-    out.e2 += out.eps_mean[i];
-    out.worst_eps = std::max(out.worst_eps, out.eps_max[i]);
-  }
-  out.e1 /= static_cast<double>(n_rem);
-  out.e2 /= static_cast<double>(n_rem);
-  out.samples = options.samples;
+  finish_metrics(out, options.samples);
   return out;
 }
 
+// The robust predictor carries the sensitivity rows it was built from, so
+// the model itself is not read.
 FaultyMcMetrics evaluate_predictor_under_faults(
-    const variation::VariationModel& model, const RobustPredictor& predictor,
-    const FaultyMcOptions& options) {
-  const std::size_t m = model.num_params();
+    const variation::VariationModel& /*model*/,
+    const RobustPredictor& predictor, const FaultyMcOptions& options) {
   const std::size_t n_rem = predictor.base.remaining.size();
   const std::size_t n_meas = predictor.base.mu_meas.size();
   const util::telemetry::Span span("core.mc.evaluate_faulty");
@@ -125,6 +100,9 @@ FaultyMcMetrics evaluate_predictor_under_faults(
     return out;
   }
   if (options.mc.samples == 0 || n_rem == 0) return out;
+  const McSampler sampler(linalg::SparseRows(predictor.a_meas),
+                          linalg::SparseRows(predictor.a_rem));
+  sampler.count(options.mc.samples);
 
   // Same chunked-deterministic scheme as evaluate_predictor: per-die streams
   // for both the parameter sample and the fault schedule, per-chunk partial
@@ -146,80 +124,89 @@ FaultyMcMetrics evaluate_predictor_under_faults(
     std::size_t dropout = 0;
   };
   std::vector<Counters> part_cnt(nchunks);
+  // One die's remaining-path prediction from its fault-injected
+  // measurements, tallying the faults into `cnt`.
+  const auto predict_die = [&](const linalg::Vector& clean, std::size_t die,
+                               Counters& cnt) {
+    const NoisyMeasurements noisy =
+        apply_faults(clean, predictor.base.mu_meas, options.faults, die);
+    cnt.outliers += static_cast<std::size_t>(noisy.outliers);
+    cnt.missing += static_cast<std::size_t>(noisy.dropped);
+    cnt.dead += static_cast<std::size_t>(noisy.dead);
+    cnt.dropout += static_cast<std::size_t>(noisy.dropout);
+    if (options.naive) {
+      // Plain linear map on the faulty values; invalid slots sit at their
+      // nominal delay, i.e. a centered value of zero.
+      linalg::Vector centered(n_meas, 0.0);
+      for (std::size_t i = 0; i < n_meas; ++i) {
+        if (noisy.valid[i]) {
+          centered[i] = noisy.values[i] - predictor.base.mu_meas[i];
+        }
+      }
+      linalg::Vector pred = linalg::matvec(predictor.base.coef, centered);
+      for (std::size_t i = 0; i < n_rem; ++i) {
+        pred[i] += predictor.base.mu_rem[i];
+      }
+      return pred;
+    }
+    RobustPrediction rp = predictor.predict(noisy.values, noisy.valid);
+    cnt.screened += rp.screened.size();
+    // Attribute each screened slot to the fault that produced it: an
+    // injected heavy-tail outlier vs. plain sensor noise (the outlier list
+    // per die is short, so a linear scan beats a mask rebuild).
+    for (int s : rp.screened) {
+      bool injected = false;
+      for (int o : noisy.outlier_slots) {
+        if (o == s) {
+          injected = true;
+          break;
+        }
+      }
+      if (injected) {
+        ++cnt.screened_outlier;
+      } else {
+        ++cnt.screened_noise;
+      }
+    }
+    switch (rp.health) {
+      case PredictorHealth::kOk: ++cnt.ok; break;
+      case PredictorHealth::kDegraded: ++cnt.degraded; break;
+      case PredictorHealth::kFailed: ++cnt.failed; break;
+    }
+    return std::move(rp.values);
+  };
   util::parallel_for(0, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
+    McSampler::Block blk = sampler.block();
+    // The block's predictions, one column per die, scored path by path
+    // against the true delays once the block's dies are predicted.
+    linalg::Matrix preds(n_rem, McSampler::kBlock);
+    linalg::Vector clean(n_meas), d(McSampler::kBlock);
     for (std::size_t ci = cb; ci < ce; ++ci) {
       const std::size_t s0 = ci * chunk;
-      const std::size_t c = std::min(chunk, options.mc.samples - s0);
-      linalg::Matrix x(m, c);
-      for (std::size_t j = 0; j < c; ++j) {
-        util::Rng rng = util::Rng::stream(options.mc.seed, s0 + j);
-        for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-      }
-      const linalg::Matrix d_true =
-          linalg::multiply(predictor.a_rem, x);                    // n_rem x c
-      const linalg::Matrix y = linalg::multiply(predictor.a_meas, x);
-
+      const std::size_t s1 = std::min(s0 + chunk, options.mc.samples);
       std::vector<double>& pmax = part_max[ci];
       std::vector<double>& psum = part_sum[ci];
       Counters& cnt = part_cnt[ci];
       pmax.assign(n_rem, 0.0);
       psum.assign(n_rem, 0.0);
-      linalg::Vector clean(n_meas), pred(n_rem);
-      for (std::size_t j = 0; j < c; ++j) {
-        for (std::size_t i = 0; i < n_meas; ++i) {
-          clean[i] = predictor.base.mu_meas[i] + y(i, j);
-        }
-        const NoisyMeasurements noisy = apply_faults(
-            clean, predictor.base.mu_meas, options.faults, s0 + j);
-        cnt.outliers += static_cast<std::size_t>(noisy.outliers);
-        cnt.missing += static_cast<std::size_t>(noisy.dropped);
-        cnt.dead += static_cast<std::size_t>(noisy.dead);
-        cnt.dropout += static_cast<std::size_t>(noisy.dropout);
-        if (options.naive) {
-          // Plain linear map on the faulty values; invalid slots sit at
-          // their nominal delay, i.e. a centered value of zero.
-          linalg::Vector centered(n_meas, 0.0);
+      for (std::size_t s = s0; s < s1; s += McSampler::kBlock) {
+        sampler.draw(options.mc.seed, s, s1 - s, blk);
+        for (std::size_t j = 0; j < blk.width; ++j) {
           for (std::size_t i = 0; i < n_meas; ++i) {
-            if (noisy.valid[i]) {
-              centered[i] = noisy.values[i] - predictor.base.mu_meas[i];
-            }
+            clean[i] = predictor.base.mu_meas[i] + blk.y(i, j);
           }
-          pred = linalg::matvec(predictor.base.coef, centered);
-          for (std::size_t i = 0; i < n_rem; ++i) {
-            pred[i] += predictor.base.mu_rem[i];
-          }
-        } else {
-          RobustPrediction rp = predictor.predict(noisy.values, noisy.valid);
-          cnt.screened += rp.screened.size();
-          // Attribute each screened slot to the fault that produced it: an
-          // injected heavy-tail outlier vs. plain sensor noise (the outlier
-          // list per die is short, so a linear scan beats a mask rebuild).
-          for (int s : rp.screened) {
-            bool injected = false;
-            for (int o : noisy.outlier_slots) {
-              if (o == s) {
-                injected = true;
-                break;
-              }
-            }
-            if (injected) {
-              ++cnt.screened_outlier;
-            } else {
-              ++cnt.screened_noise;
-            }
-          }
-          switch (rp.health) {
-            case PredictorHealth::kOk: ++cnt.ok; break;
-            case PredictorHealth::kDegraded: ++cnt.degraded; break;
-            case PredictorHealth::kFailed: ++cnt.failed; break;
-          }
-          pred = std::move(rp.values);
+          const linalg::Vector pred = predict_die(clean, s + j, cnt);
+          for (std::size_t i = 0; i < n_rem; ++i) preds(i, j) = pred[i];
         }
         for (std::size_t i = 0; i < n_rem; ++i) {
-          const double t = predictor.base.mu_rem[i] + d_true(i, j);
-          const double rel = std::abs(pred[i] - t) / std::abs(t);
-          pmax[i] = std::max(pmax[i], rel);
-          psum[i] += rel;
+          sampler.remaining(i, blk, d);
+          const double mu_i = predictor.base.mu_rem[i];
+          for (std::size_t j = 0; j < blk.width; ++j) {
+            const double t = mu_i + d[j];
+            const double rel = std::abs(preds(i, j) - t) / std::abs(t);
+            pmax[i] = std::max(pmax[i], rel);
+            psum[i] += rel;
+          }
         }
       }
     }
@@ -261,16 +248,8 @@ FaultyMcMetrics evaluate_predictor_under_faults(
     util::telemetry::count("core.mc.slots_dead", dead);
     util::telemetry::count("core.mc.slots_dropout", dropout);
   }
+  finish_metrics(out.metrics, options.mc.samples);
   const auto samples = static_cast<double>(options.mc.samples);
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    out.metrics.eps_mean[i] /= samples;
-    out.metrics.e1 += out.metrics.eps_max[i];
-    out.metrics.e2 += out.metrics.eps_mean[i];
-    out.metrics.worst_eps = std::max(out.metrics.worst_eps,
-                                     out.metrics.eps_max[i]);
-  }
-  out.metrics.e1 /= static_cast<double>(n_rem);
-  out.metrics.e2 /= static_cast<double>(n_rem);
   out.mean_screened /= samples;
   out.mean_missing /= samples;
   out.mean_outliers /= samples;
@@ -332,6 +311,9 @@ StreamingMcMetrics evaluate_predictor_streaming(
     drift_rem = linalg::matvec(predictor.a_rem, delta);
   }
 
+  const McSampler sampler(linalg::SparseRows(predictor.a_meas),
+                          linalg::SparseRows(predictor.a_rem));
+  sampler.count(options.mc.samples);
   if (options.record_trajectory) {
     out.guardband_trajectory.reserve(options.mc.samples);
     out.drift_trajectory.reserve(options.mc.samples);
@@ -351,21 +333,19 @@ StreamingMcMetrics evaluate_predictor_streaming(
     linalg::Matrix y(n_meas, bc);
     const std::size_t nchunks = (bc + chunk - 1) / chunk;
     util::parallel_for(0, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
+      McSampler::Block blk = sampler.block();
       for (std::size_t ci = cb; ci < ce; ++ci) {
         const std::size_t s0 = ci * chunk;
-        const std::size_t c = std::min(chunk, bc - s0);
-        linalg::Matrix x(m, c);
-        for (std::size_t j = 0; j < c; ++j) {
-          util::Rng rng = util::Rng::stream(options.mc.seed, b0 + s0 + j);
-          for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-        }
-        const linalg::Matrix dt = linalg::multiply(predictor.a_rem, x);
-        const linalg::Matrix yy = linalg::multiply(predictor.a_meas, x);
-        for (std::size_t i = 0; i < n_rem; ++i) {
-          for (std::size_t j = 0; j < c; ++j) d_true(i, s0 + j) = dt(i, j);
-        }
-        for (std::size_t i = 0; i < n_meas; ++i) {
-          for (std::size_t j = 0; j < c; ++j) y(i, s0 + j) = yy(i, j);
+        const std::size_t s1 = std::min(s0 + chunk, bc);
+        for (std::size_t s = s0; s < s1; s += McSampler::kBlock) {
+          sampler.draw(options.mc.seed, b0 + s, s1 - s, blk);
+          for (std::size_t i = 0; i < n_rem; ++i) {
+            sampler.remaining(i, blk, d_true.row(i).subspan(s));
+          }
+          for (std::size_t i = 0; i < n_meas; ++i) {
+            std::copy_n(blk.y.row(i).begin(), blk.width,
+                        y.row(i).begin() + static_cast<std::ptrdiff_t>(s));
+          }
         }
       }
     });
@@ -399,16 +379,7 @@ StreamingMcMetrics evaluate_predictor_streaming(
     }
   }
 
-  const auto samples = static_cast<double>(options.mc.samples);
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    out.metrics.eps_mean[i] /= samples;
-    out.metrics.e1 += out.metrics.eps_max[i];
-    out.metrics.e2 += out.metrics.eps_mean[i];
-    out.metrics.worst_eps =
-        std::max(out.metrics.worst_eps, out.metrics.eps_max[i]);
-  }
-  out.metrics.e1 /= static_cast<double>(n_rem);
-  out.metrics.e2 /= static_cast<double>(n_rem);
+  finish_metrics(out.metrics, options.mc.samples);
   out.status = cal.status();
   out.final_guardband = cal.guardband();
   out.drift_flag_die = out.status.drift_flag_die;

@@ -7,11 +7,14 @@
 //   eps-hat_i = mean_k of the same ratio
 //   e1 = mean_i eps_i,   e2 = mean_i eps-hat_i.
 //
-// Sampling runs batch-parallel on the shared util::ThreadPool.  Sample k
-// draws from the deterministic stream util::Rng::stream(seed, k) and the
-// per-chunk partial results are reduced in fixed chunk order, so every
-// metric is bit-identical for any thread count (and any chunk size, up to
-// the reassociation of the eps_mean sums).
+// Sampling runs chunk-parallel on the shared util::ThreadPool.  Sample k
+// draws from the deterministic stream util::Rng::stream(seed, k); its true
+// delays and prediction are summed in a fixed order over the sparse
+// sensitivity rows and the measurement slots (core/mc_sampler.h), and the
+// per-chunk partial results are reduced in fixed chunk order.  So every
+// metric is bit-identical for any thread count, and eps_max, e1 and
+// worst_eps are bit-identical for any chunk size; only the eps_mean sums
+// (and so e2) regroup by chunk, at rounding level.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +28,8 @@ namespace repro::core {
 
 struct McOptions {
   std::size_t samples = 10000;
-  // Samples per GEMM batch; also the unit of work handed to pool threads.
-  // Affects performance only, never the sampled values.
+  // Samples per unit of work handed to pool threads.  Affects performance
+  // only, never the sampled values or any sample's error.
   std::size_t chunk = 256;
   std::uint64_t seed = 0x5eed;
 };
@@ -111,7 +114,7 @@ struct DriftScenario {
 };
 
 struct StreamingMcOptions {
-  McOptions mc;              // samples = dies in the stream; chunk = GEMM batch
+  McOptions mc;              // samples = dies in the stream; chunk = pool task
   FaultSpec faults;
   StreamingOptions stream;
   DriftScenario drift;

@@ -1,8 +1,10 @@
 #include "linalg/cholesky.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/column_kernels.h"
 #include "linalg/simd/kernels.h"
@@ -150,7 +152,10 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
                             std::numeric_limits<double>::epsilon() * 16.0) *
       (max_diag0 > 0.0 ? max_diag0 : 1.0);
 
-  Matrix l(n, n);  // trimmed to rank columns at the end
+  // Only rank columns of L are ever written, so its column capacity grows
+  // (doubling) as pivots are accepted instead of zero-filling n x n.
+  std::size_t cap = std::min<std::size_t>(n, 64);
+  Matrix l(n, cap);
   std::size_t k = 0;
   std::size_t flops = 0;
   for (; k < n; ++k) {
@@ -160,6 +165,14 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
       if (diag[i] > diag[piv]) piv = i;
     }
     if (diag[piv] <= tol) break;
+    if (k == cap) {
+      cap = std::min(n, 2 * cap);
+      Matrix grown(n, cap);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::copy_n(l.row(i).begin(), k, grown.row(i).begin());
+      }
+      l = std::move(grown);
+    }
     if (piv != k) {
       std::swap(out.perm[piv], out.perm[k]);
       std::swap(diag[piv], diag[k]);
@@ -214,7 +227,7 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
   }
   util::telemetry::count("linalg.pivoted_chol.flops", flops);
   out.rank = k;
-  out.l = l.left_cols(k);
+  out.l = k == cap ? std::move(l) : l.left_cols(k);
   return out;
 }
 

@@ -18,7 +18,7 @@ namespace {
 // One counter pair for all four GEMM entry points: call count and the
 // multiply-add FLOP estimate (2 * m * k * n; the Gram variants count the
 // triangle they actually compute).  Incremented once per call, never per
-// element, so the MC hot loop pays one relaxed-atomic bump per chunk GEMM.
+// element.
 void count_gemm(std::size_t flops) {
   util::telemetry::count("linalg.gemm.calls");
   util::telemetry::count("linalg.gemm.flops", flops);
@@ -52,7 +52,7 @@ void parallel_rows(std::size_t total, std::size_t flops_per_row, Fn&& fn) {
 
 // True when the active SIMD tier should take this GEMM.  Tiny products stay
 // on the legacy loops even under a SIMD tier: packing overhead dominates
-// below ~64k flops (MC chunk solves), and the size test keeps the chosen
+// below ~64k flops (small per-die solves), and the size test keeps the chosen
 // code path — hence the exact bit pattern — a pure function of the shapes.
 bool use_simd_gemm(std::size_t flops) {
   return simd::ops().tier != simd::Tier::kScalar && flops > 65'536;

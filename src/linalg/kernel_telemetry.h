@@ -16,8 +16,8 @@
 namespace repro::linalg {
 
 // Calls below this many FLOPs skip the gauges: they are steady_clock noise,
-// and the MC chunk loops issue thousands of small GEMMs that must never
-// take the registry mutex per call.
+// and loops that make thousands of small GEMM calls must never take the
+// registry mutex per call.
 inline constexpr std::size_t kThroughputMinFlops = 16'000'000;
 
 inline void record_kernel_throughput(std::string_view kernel,

@@ -10,7 +10,7 @@
 //     execution (bit-identical to the single-threaded code path).
 //   * Nested parallel regions run inline on the current thread instead of
 //     re-entering the pool, so a parallel_for body may freely call code that
-//     is itself parallelized (e.g. MC chunks calling pooled GEMM) without
+//     is itself parallelized (e.g. sweep tasks calling pooled GEMM) without
 //     deadlock or oversubscription.
 //   * Parallelism must never change results: callers are responsible for
 //     deterministic work partitioning (see core/monte_carlo.cpp for the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "linalg/gemm.h"
 #include "linalg/simd/dispatch.h"
 #include "test_helpers.h"
@@ -115,6 +117,33 @@ TEST(Cholesky, MultiRhsSolve) {
   EXPECT_LT(max_abs_diff(multiply(s, x), b), 1e-8);
 }
 
+TEST(PivotedCholesky, RankColumnsReconstructAtEveryCapacity) {
+  // L's column capacity grows in doublings from 64: ranks on, just past
+  // and equal to a full capacity, and a full-rank matrix.
+  for (const auto& [n, r] : {std::pair<std::size_t, std::size_t>{200, 64},
+                             {200, 65},
+                             {300, 128},
+                             {96, 96}}) {
+    util::Rng rng(n + r);
+    Matrix f(n, r);
+    for (double& v : f.data()) v = rng.normal();
+    const Matrix w = gram(f);
+    const PivotedChol pc = pivoted_cholesky(w);
+    ASSERT_EQ(pc.rank, r);
+    ASSERT_EQ(pc.l.rows(), n);
+    ASSERT_EQ(pc.l.cols(), r);
+    const Matrix llt = multiply_bt(pc.l, pc.l);
+    const double tol = 1e-9 * w.max_abs();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const auto pi = static_cast<std::size_t>(pc.perm[i]);
+        const auto pj = static_cast<std::size_t>(pc.perm[j]);
+        EXPECT_NEAR(llt(i, j), w(pi, pj), tol);
+      }
+    }
+  }
+}
+
 TEST(PivotedCholesky, BitIdenticalAcrossThreadCounts) {
   // W = B B^T of order 601 and rank 220: the per-pivot row updates go
   // through the pool from about pivot 120 on.  B has a zero row (a zero
@@ -135,6 +164,8 @@ TEST(PivotedCholesky, BitIdenticalAcrossThreadCounts) {
   const PivotedChol p4 =
       test::with_threads(4, [&] { return pivoted_cholesky(w); });
   EXPECT_EQ(p1.rank, 220u);
+  EXPECT_EQ(p1.l.rows(), 601u);
+  EXPECT_EQ(p1.l.cols(), p1.rank);
   EXPECT_EQ(p1.rank, p4.rank);
   EXPECT_EQ(p1.perm, p4.perm);
   EXPECT_TRUE(test::same_bits(p1.l.data(), p4.l.data()));

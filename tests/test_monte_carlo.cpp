@@ -9,9 +9,12 @@
 
 #include "circuit/generator.h"
 #include "circuit/placement.h"
+#include "core/guardband.h"
 #include "core/path_selection.h"
 #include "linalg/gemm.h"
 #include "timing/segments.h"
+#include "util/rng.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 #include "variation/variation_model.h"
 
@@ -96,14 +99,23 @@ TEST(MonteCarlo, ChunkSizeDoesNotChangeResult) {
   McOptions a;
   a.samples = 400;
   a.chunk = 64;
-  McOptions b = a;
-  b.chunk = 400;
-  // Same seed stream, same sample count: chunking is an implementation
-  // detail and must not alter the statistics.
   const McMetrics ma = evaluate_predictor(*f.model, p, a);
-  const McMetrics mb = evaluate_predictor(*f.model, p, b);
-  EXPECT_NEAR(ma.e1, mb.e1, 1e-12);
-  EXPECT_NEAR(ma.e2, mb.e2, 1e-12);
+  // Same seed stream, same sample count: chunking is an implementation
+  // detail.  Every sample's error is summed in a fixed order, so the maxima
+  // are exact; only the eps_mean sums regroup by chunk.
+  for (std::size_t chunk : {1u, 37u, 400u, 1000u}) {
+    McOptions b = a;
+    b.chunk = chunk;
+    const McMetrics mb = evaluate_predictor(*f.model, p, b);
+    EXPECT_EQ(ma.e1, mb.e1) << "chunk " << chunk;
+    EXPECT_EQ(ma.worst_eps, mb.worst_eps) << "chunk " << chunk;
+    ASSERT_EQ(ma.eps_max.size(), mb.eps_max.size());
+    for (std::size_t i = 0; i < ma.eps_max.size(); ++i) {
+      EXPECT_EQ(ma.eps_max[i], mb.eps_max[i]) << "chunk " << chunk;
+      EXPECT_NEAR(ma.eps_mean[i], mb.eps_mean[i], 1e-12);
+    }
+    EXPECT_NEAR(ma.e2, mb.e2, 1e-12);
+  }
 }
 
 TEST(MonteCarlo, BitIdenticalAcrossThreadCounts) {
@@ -171,6 +183,130 @@ TEST(MonteCarlo, McErrorConsistentWithAnalyticSigma) {
     if (expected_mean_rel < 1e-12) continue;
     EXPECT_NEAR(m.eps_mean[i], expected_mean_rel, 0.2 * expected_mean_rel);
   }
+}
+
+// The dense Monte-Carlo formula the sparse sampler replaced: the measured
+// rows and the remaining rows of A stacked as dense matrices and multiplied
+// as GEMMs over every parameter.  Sample j is drawn from
+// util::Rng::stream(seed, j), or from `sequential` when given.
+McMetrics dense_reference(const variation::VariationModel& model,
+                          const LinearPredictor& p, std::size_t samples,
+                          std::uint64_t seed, util::Rng* sequential) {
+  const std::size_t m = model.num_params();
+  linalg::Matrix meas(p.mu_meas.size(), m);
+  std::size_t row = 0;
+  for (int i : p.measured_paths) {
+    meas.set_row(row++, model.a().row(static_cast<std::size_t>(i)));
+  }
+  for (int s : p.measured_segments) {
+    meas.set_row(row++, model.sigma().row(static_cast<std::size_t>(s)));
+  }
+  linalg::Matrix x(m, samples);
+  for (std::size_t j = 0; j < samples; ++j) {
+    util::Rng stream = util::Rng::stream(seed, j);
+    util::Rng& rng = sequential != nullptr ? *sequential : stream;
+    for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
+  }
+  const linalg::Matrix d =
+      linalg::multiply(model.a().select_rows(p.remaining), x);
+  const linalg::Matrix pred =
+      linalg::multiply(p.coef, linalg::multiply(meas, x));
+  McMetrics out;
+  const std::size_t n_rem = p.remaining.size();
+  out.eps_max.assign(n_rem, 0.0);
+  out.eps_mean.assign(n_rem, 0.0);
+  for (std::size_t i = 0; i < n_rem; ++i) {
+    for (std::size_t j = 0; j < samples; ++j) {
+      const double t = p.mu_rem[i] + d(i, j);
+      const double rel = std::abs(p.mu_rem[i] + pred(i, j) - t) / std::abs(t);
+      out.eps_max[i] = std::max(out.eps_max[i], rel);
+      out.eps_mean[i] += rel;
+    }
+    out.eps_mean[i] /= static_cast<double>(samples);
+    out.e1 += out.eps_max[i] / static_cast<double>(n_rem);
+    out.e2 += out.eps_mean[i] / static_cast<double>(n_rem);
+    out.worst_eps = std::max(out.worst_eps, out.eps_max[i]);
+  }
+  return out;
+}
+
+// Within 1e-12 relative, plus `noise` absolute: a path the measurements
+// determine exactly has a relative error that is pure rounding of the
+// delays (about 1e-16), which the summation order moves by its own size.
+void expect_rel_near(double got, double want, const char* what,
+                     double noise = 0.0) {
+  EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want) + noise) << what;
+}
+
+void expect_matches_reference(const McMetrics& got, const McMetrics& want) {
+  expect_rel_near(got.e1, want.e1, "e1");
+  expect_rel_near(got.e2, want.e2, "e2");
+  expect_rel_near(got.worst_eps, want.worst_eps, "worst_eps");
+  ASSERT_EQ(got.eps_max.size(), want.eps_max.size());
+  for (std::size_t i = 0; i < got.eps_max.size(); ++i) {
+    expect_rel_near(got.eps_max[i], want.eps_max[i], "eps_max", 1e-14);
+    expect_rel_near(got.eps_mean[i], want.eps_mean[i], "eps_mean", 1e-14);
+  }
+}
+
+TEST(MonteCarlo, SparseSamplerMatchesDenseFormula) {
+  Fixture f(200);
+  const SubsetSelector sel(f.model->a(), linalg::gram(f.model->a()));
+  McOptions opt;
+  opt.samples = 300;
+  opt.chunk = 70;
+  opt.seed = 21;
+  const LinearPredictor paths_only = make_path_predictor(
+      f.model->a(), f.model->mu_paths(), sel.select(6));
+  // A hybrid measurement set also reads rows of Sigma.
+  std::vector<int> remaining;
+  for (std::size_t i = 3; i < f.paths.size(); ++i) {
+    remaining.push_back(static_cast<int>(i));
+  }
+  const LinearPredictor hybrid = make_joint_predictor(
+      f.model->a(), f.model->mu_paths(), f.model->sigma(),
+      f.model->mu_segments(), {0, 1, 2}, {0, 5, 9}, remaining);
+  for (const LinearPredictor* p : {&paths_only, &hybrid}) {
+    expect_matches_reference(
+        evaluate_predictor(*f.model, *p, opt),
+        dense_reference(*f.model, *p, opt.samples, opt.seed, nullptr));
+    const GuardbandReport g = guardband_analysis(
+        *f.model, *p, linalg::Vector(p->remaining.size(), 0.01),
+        2.0 * f.model->mu_paths()[0], 0.05, opt);
+    util::Rng rng(opt.seed);
+    expect_matches_reference(
+        g.mc, dense_reference(*f.model, *p, opt.samples, opt.seed, &rng));
+  }
+}
+
+std::uint64_t counter_value(const char* name) {
+  for (const auto& c : util::telemetry::snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+TEST(MonteCarlo, CountsSparseWorkAndNoGemm) {
+  Fixture f;
+  const SubsetSelector sel(f.model->a(), linalg::gram(f.model->a()));
+  const LinearPredictor p = make_path_predictor(
+      f.model->a(), f.model->mu_paths(), sel.select(5));
+  std::size_t nnz = 0;
+  for (const std::vector<int>* rows : {&p.measured_paths, &p.remaining}) {
+    for (int i : *rows) {
+      for (double v : f.model->a().row(static_cast<std::size_t>(i))) {
+        nnz += v != 0.0 ? 1 : 0;
+      }
+    }
+  }
+  McOptions opt;
+  opt.samples = 333;
+  const std::uint64_t spmm = counter_value("linalg.spmm.flops");
+  const std::uint64_t gemm = counter_value("linalg.gemm.flops");
+  (void)evaluate_predictor(*f.model, p, opt);
+  EXPECT_EQ(counter_value("linalg.spmm.flops") - spmm,
+            2 * nnz * opt.samples);
+  EXPECT_EQ(counter_value("linalg.gemm.flops"), gemm);
 }
 
 TEST(MonteCarlo, NoRemainingPathsThrows) {
